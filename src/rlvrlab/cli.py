@@ -85,7 +85,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    except ValueError as exc:
+        raise ConfigError(f"--seeds: {exc}") from None
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     try:
         result = run_sweep(cfg, seeds=seeds, algorithms=algorithms, out_dir=args.out)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .policy import FeatureSet, hessian_matrix, policy_gradient, prompt_stats, spectral_norm
+from .policy import FeatureSet, batch_stats, hessian_matrix, prompt_stats, spectral_norm
 from .trainers import TrajectoryLog
 
 __all__ = [
@@ -68,8 +68,9 @@ def pairwise_grad_cosines(fs: FeatureSet, theta: np.ndarray) -> CosineReport:
     """
     if fs.n < 2:
         raise ValueError("need at least two prompts for pairwise cosines")
-    grads = [policy_gradient(fs, theta, i) for i in range(fs.n)]
-    norms = np.array([np.linalg.norm(g) for g in grads])
+    stats = batch_stats(fs, theta)
+    grads = stats.grads
+    norms = np.sqrt(stats.grad_sq)
     pair_i, pair_j, cos = [], [], []
     excluded = 0
     for i in range(fs.n):
@@ -125,7 +126,7 @@ class MBoundReport:
 def m_bound(fs: FeatureSet, theta: np.ndarray, tol: float = M_VACUOUS_TOL) -> MBoundReport:
     if fs.n < 2:
         raise ValueError("need at least two prompts")
-    grads = [policy_gradient(fs, theta, i) for i in range(fs.n)]
+    grads = batch_stats(fs, theta).grads
     best = 0.0
     worst_pair = None
     violations = []
@@ -183,8 +184,9 @@ def scale_regularity(fs: FeatureSet, theta: np.ndarray) -> ScaleReport:
     Prompts with a zero denominator are flagged and make the affected ratio
     infinite instead of raising.
     """
-    grad_norms = np.array([np.linalg.norm(policy_gradient(fs, theta, i)) for i in range(fs.n)])
-    sds = np.array([math.sqrt(prompt_stats(fs, theta, i).variance) for i in range(fs.n)])
+    stats = batch_stats(fs, theta)
+    grad_norms = np.sqrt(stats.grad_sq)
+    sds = np.sqrt(stats.variance)
     zero_grad = [int(i) for i in np.flatnonzero(grad_norms == 0.0)]
     zero_var = [int(i) for i in np.flatnonzero(sds == 0.0)]
     r1 = math.inf if zero_grad else float(grad_norms.max() / grad_norms.min())
@@ -390,11 +392,11 @@ def lemma_bound_report(
     """
     rng = rng or np.random.default_rng(0)
     xsq = fs.x_max**2
+    stats = batch_stats(fs, theta)
     rows = []
     for i in range(fs.n):
-        stats = prompt_stats(fs, theta, i)
-        v = stats.variance
-        grad_norm = float(np.linalg.norm(policy_gradient(fs, theta, i)))
+        v = float(stats.variance[i])
+        grad_norm = float(np.sqrt(stats.grad_sq[i]))
         hess_norm = spectral_norm(hessian_matrix(fs, theta, i))
         radius = math.sqrt(v) / fs.x_max
         ball_max = hess_norm

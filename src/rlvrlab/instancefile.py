@@ -101,6 +101,10 @@ def load_instance(path) -> FeatureSet:
     trailing = [ln for ln in lines[lineno:] if ln.strip()]
     _expect(not trailing, lineno + 1, "unexpected trailing content")
     try:
-        return FeatureSet(features=tuple(features), correct=np.array(correct))
+        fs = FeatureSet(features=tuple(features), correct=np.array(correct))
     except ValueError as exc:
         raise InstanceFormatError(f"{path}: {exc}") from None
+    # Step sizes and smoothness radii divide by x_max.
+    if fs.x_max == 0.0:
+        raise InstanceFormatError(f"{path}: every feature matrix is zero")
+    return fs

@@ -11,13 +11,16 @@ to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "FeatureSet",
     "PromptStats",
+    "BatchStats",
     "GrpoGradient",
+    "batch_stats",
     "prompt_stats",
     "policy_gradient",
     "grpo_gradient",
@@ -46,12 +49,15 @@ class FeatureSet:
 
     features[i] is the K x d matrix whose rows are the feature vectors of the
     K candidate outputs for prompt i; correct[i] is the index of the unique
-    correct output.  x_max is the largest spectral norm among the feature
-    matrices, computed once at construction.
+    correct output.  The matrices are stored once, as the read-only n x K x d
+    array `stacked`, and features[i] is a view of stacked[i].  x_max is the
+    largest spectral norm among the feature matrices, computed once at
+    construction.
     """
 
     features: tuple[np.ndarray, ...]
     correct: np.ndarray
+    stacked: np.ndarray = field(init=False, repr=False)
     n: int = field(init=False)
     K: int = field(init=False)
     d: int = field(init=False)
@@ -59,7 +65,7 @@ class FeatureSet:
     x_norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        feats = tuple(_frozen(X) for X in self.features)
+        feats = [np.asarray(X, dtype=np.float64) for X in self.features]
         if not feats:
             raise ValueError("FeatureSet needs at least one prompt")
         K, d = feats[0].shape
@@ -78,8 +84,11 @@ class FeatureSet:
         if np.any(correct < 0) or np.any(correct >= K):
             raise ValueError(f"correct indices must lie in [0, {K})")
         correct.flags.writeable = False
-        x_norms = _frozen([np.linalg.norm(X, 2) for X in feats])
-        object.__setattr__(self, "features", feats)
+        stacked = np.stack(feats)
+        stacked.flags.writeable = False
+        x_norms = _frozen([np.linalg.norm(X, 2) for X in stacked])
+        object.__setattr__(self, "features", tuple(stacked))
+        object.__setattr__(self, "stacked", stacked)
         object.__setattr__(self, "correct", correct)
         object.__setattr__(self, "n", len(feats))
         object.__setattr__(self, "K", K)
@@ -103,21 +112,33 @@ class PromptStats:
     objective: float
 
 
-class GrpoGradient(tuple):
+class BatchStats(NamedTuple):
+    """PromptStats and exact gradients of every prompt at one parameter vector.
+
+    probs is n x K; success, variance (success*(1-success)) and grad_sq (the
+    squared gradient norms) have one entry per prompt; grads is n x d, row i
+    the gradient of prompt i.  Under the one-hot reward the objective is the
+    success probability.
+    """
+
+    probs: np.ndarray
+    success: np.ndarray
+    variance: np.ndarray
+    grads: np.ndarray
+    grad_sq: np.ndarray
+
+    def prompt(self, i: int) -> PromptStats:
+        success = float(self.success[i])
+        return PromptStats(
+            probs=self.probs[i], success=success, variance=float(self.variance[i]), objective=success
+        )
+
+
+class GrpoGradient(NamedTuple):
     """(vector, clamped) pair; clamped marks that the variance floor fired."""
 
-    __slots__ = ()
-
-    def __new__(cls, vector, clamped):
-        return super().__new__(cls, (vector, bool(clamped)))
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self[0]
-
-    @property
-    def clamped(self) -> bool:
-        return self[1]
+    vector: np.ndarray
+    clamped: bool
 
 
 def _check_theta(theta: np.ndarray, d: int) -> np.ndarray:
@@ -151,6 +172,32 @@ def prompt_stats(fs: FeatureSet, theta: np.ndarray, i: int) -> PromptStats:
         variance=success * (1.0 - success),
         objective=success,
     )
+
+
+def batch_stats(fs: FeatureSet, theta: np.ndarray) -> BatchStats:
+    """prompt_stats, policy_gradient and the squared gradient norm g @ g of
+    every prompt at theta, in stacked form.
+
+    Each stacked operation is one that reproduces the per-prompt functions
+    bit for bit: matmul over the stack for the logits and for X_i^T (H r),
+    max/exp/sum softmax reductions along the output axis, and a stacked
+    (1 x d) @ (d x 1) matmul for the squared norms (einsum and (g * g).sum()
+    round differently).
+    """
+    theta = _check_theta(theta, fs.d)
+    logits = np.matmul(fs.stacked, theta)
+    if not np.all(np.isfinite(logits)):
+        raise FloatingPointError("non-finite logits")
+    z = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = z / z.sum(axis=1, keepdims=True)
+    rows = np.arange(fs.n)
+    success = probs[rows, fs.correct]
+    variance = success * (1.0 - success)
+    hr = -success[:, None] * probs
+    hr[rows, fs.correct] = variance
+    grads = np.matmul(fs.stacked.transpose(0, 2, 1), hr[:, :, None])[:, :, 0]
+    grad_sq = np.matmul(grads[:, None, :], grads[:, :, None])[:, 0, 0]
+    return BatchStats(probs=probs, success=success, variance=variance, grads=grads, grad_sq=grad_sq)
 
 
 def _covariance_times_reward(probs: np.ndarray, a: int) -> np.ndarray:
@@ -191,8 +238,7 @@ def grpo_gradient(
     hr = _covariance_times_reward(stats.probs, fs.correct[i])
     grad = fs.features[i].T @ hr
     sd = np.sqrt(stats.variance)
-    clamped = sd < eps_floor
-    return GrpoGradient(grad / max(sd, eps_floor), clamped)
+    return GrpoGradient(grad / max(sd, eps_floor), bool(sd < eps_floor))
 
 
 def hessian_quadratic_form(fs: FeatureSet, theta: np.ndarray, i: int, y: np.ndarray) -> float:

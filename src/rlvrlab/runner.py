@@ -24,7 +24,7 @@ from .diagnostics import (
     pairwise_grad_cosines,
     phase_classify,
 )
-from .policy import FeatureSet, prompt_stats
+from .policy import FeatureSet, batch_stats
 from .svgplot import line_plot
 from .trainers import BoundReport, NumericalAbort, TrajectoryLog, cumulative_bound_check, run_trajectory
 
@@ -138,12 +138,12 @@ def _bound_report_dict(report: BoundReport) -> dict:
     }
 
 
-def _iterations_to_threshold(log: TrajectoryLog, fs: FeatureSet, threshold: float) -> Optional[int]:
-    """Smallest state index t (0..T) whose mean objective reaches the threshold."""
+def _iterations_to_threshold(log: TrajectoryLog, final_mean: float, threshold: float) -> Optional[int]:
+    """Smallest state index t (0..T) whose mean objective reaches the threshold;
+    final_mean is the mean objective at the final state T."""
     for rec in log.records:
         if rec.j_mean >= threshold:
             return rec.t - 1
-    final_mean = float(np.mean([prompt_stats(fs, log.final_theta, i).objective for i in range(fs.n)]))
     if final_mean >= threshold:
         return len(log.records)
     return None
@@ -186,7 +186,11 @@ def run_experiment(
     abort.json in the output directory and the NumericalAbort re-raised.
     """
     if seed_override is not None:
-        cfg = replace(cfg, trainer=replace(cfg.trainer, seed=seed_override))
+        # replace() is shallow: the echo dict is copied so that the caller's
+        # config keeps its own seed and content hash
+        cfg = replace(
+            cfg, trainer=replace(cfg.trainer, seed=seed_override), echo=json.loads(json.dumps(cfg.echo))
+        )
         cfg.echo["trainer"]["seed"] = seed_override
     formats = tuple(formats_override) if formats_override is not None else cfg.formats
 
@@ -218,10 +222,8 @@ def run_experiment(
         raise
 
     bound_report = cumulative_bound_check(log, fs)
-    reached = _iterations_to_threshold(log, fs, cfg.threshold)
-    final_mean = float(
-        np.mean([prompt_stats(fs, log.final_theta, i).objective for i in range(fs.n)])
-    )
+    final_mean = float(batch_stats(fs, log.final_theta).success.mean())
+    reached = _iterations_to_threshold(log, final_mean, cfg.threshold)
     summary = {
         "config": cfg.echo,
         "config_hash": cfg.content_hash,

@@ -19,11 +19,11 @@ from .policy import (
     DEFAULT_EPS_FLOOR,
     FeatureSet,
     PromptStats,
-    grpo_gradient,
+    batch_stats,
     policy_gradient,
     prompt_stats,
 )
-from .rng import PROMPT_STREAM, stream_rng
+from .rng import PROMPT_STREAM, StreamCursor
 
 __all__ = [
     "ALGORITHMS",
@@ -35,6 +35,7 @@ __all__ = [
     "NumericalAbort",
     "step_size",
     "per_step_bound",
+    "PromptSelector",
     "select_prompt",
     "reinforce_step",
     "grpo_step",
@@ -179,18 +180,53 @@ def per_step_bound(
     return (eta - 1.25 * eta * eta * xsq) * grad_sq / divisor
 
 
+class PromptSelector:
+    """Uniform prompt indices for one seed: iteration t draws from counter t
+    of the seed's prompt stream, through one reused generator."""
+
+    def __init__(self, seed: int, n: int):
+        if n < 1:
+            raise ValueError("need at least one prompt")
+        self.n = n
+        self._cursor = StreamCursor(seed, PROMPT_STREAM)
+
+    def __call__(self, t: int) -> int:
+        return int(self._cursor.at(t).integers(0, self.n))
+
+
 def select_prompt(seed: int, t: int, n: int) -> int:
     """Uniform prompt index for iteration t, addressed by (seed, t)."""
-    if n < 1:
-        raise ValueError("need at least one prompt")
-    return int(stream_rng(seed, PROMPT_STREAM, t).integers(0, n))
+    return PromptSelector(seed, n)(t)
+
+
+def _step(
+    algorithm: str,
+    theta: np.ndarray,
+    grad: np.ndarray,
+    eta: float,
+    variance: float = 0.0,
+    eps_floor: float = DEFAULT_EPS_FLOOR,
+) -> tuple[np.ndarray, float, float, bool]:
+    """The update rule of both algorithms: theta + (eta / divisor) * grad.
+
+    The divisor is 1 for REINFORCE and the reward std sqrt(variance), clamped
+    below at eps_floor, for GRPO; REINFORCE ignores variance and eps_floor.
+    Returns (new theta, eta / divisor, divisor, whether the clamp fired).
+    """
+    if algorithm == "reinforce":
+        divisor, clamped = 1.0, False
+    else:
+        sd = math.sqrt(variance)
+        divisor, clamped = max(sd, eps_floor), sd < eps_floor
+    eta_eff = eta / divisor
+    return theta + eta_eff * grad, eta_eff, divisor, clamped
 
 
 def reinforce_step(theta: np.ndarray, fs: FeatureSet, i: int, eta: float) -> np.ndarray:
     """One ascent step along the exact gradient of the selected prompt."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    return theta + eta * policy_gradient(fs, theta, i)
+    return _step("reinforce", theta, policy_gradient(fs, theta, i), eta)[0]
 
 
 def grpo_step(
@@ -199,7 +235,10 @@ def grpo_step(
     """One ascent step along the variance-normalized gradient."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    return theta + eta * grpo_gradient(fs, theta, i, eps_floor).vector
+    if eps_floor <= 0:
+        raise ValueError("eps_floor must be positive")
+    variance = prompt_stats(fs, theta, i).variance
+    return _step("grpo", theta, policy_gradient(fs, theta, i), eta, variance, eps_floor)[0]
 
 
 def run_trajectory(
@@ -215,8 +254,9 @@ def run_trajectory(
     variances are computed at every pre-step state; the wide arrays are stored
     on records every `snapshot_cadence` iterations (1 = always).  Non-zero
     `checkpoint_cadence` stores parameter copies at that cadence for offline
-    diagnostics.  The instance is never mutated.  Non-finite parameters abort
-    with a NumericalAbort carrying the last good iteration.
+    diagnostics.  The instance is never mutated.  Parameters that go
+    non-finite, or whose logits overflow, abort with a NumericalAbort
+    carrying the last good iteration.
     """
     if snapshot_cadence < 1:
         raise ValueError("snapshot_cadence must be >= 1")
@@ -228,7 +268,14 @@ def run_trajectory(
 
     eta = step_size(cfg, fs)
     n = fs.n
-    initial = [prompt_stats(fs, theta, i) for i in range(n)]
+    select = PromptSelector(cfg.seed, n)
+    # Finite parameters can still overflow the logits: batch_stats then raises
+    # FloatingPointError, and the run aborts at the last completed iteration.
+    try:
+        stats = batch_stats(fs, theta)
+    except FloatingPointError:
+        raise NumericalAbort(0, theta) from None
+    initial = [stats.prompt(i) for i in range(n)]
     records: list[IterationRecord] = []
     grad_sq_sums = np.zeros(n)
     grad_sq_mins = np.full(n, np.inf)
@@ -236,48 +283,28 @@ def run_trajectory(
     checkpoints: list[tuple[int, np.ndarray]] = []
 
     for t in range(1, cfg.horizon + 1):
-        objectives = np.empty(n)
-        grad_sq = np.empty(n)
-        success = np.empty(n)
-        variance = np.empty(n)
-        grads = []
-        try:
-            for i in range(n):
-                st = prompt_stats(fs, theta, i)
-                g = policy_gradient(fs, theta, i)
-                grads.append(g)
-                objectives[i] = st.objective
-                success[i] = st.success
-                variance[i] = st.variance
-                grad_sq[i] = float(g @ g)
-        except FloatingPointError:
-            # parameters are still finite but large enough to overflow the
-            # logits; report the last fully completed iteration
-            raise NumericalAbort(t - 1, theta) from None
+        objectives, grad_sq, variance = stats.success, stats.grad_sq, stats.variance
         grad_sq_sums += grad_sq
         np.minimum(grad_sq_mins, grad_sq, out=grad_sq_mins)
         sqrt_v_sums += np.sqrt(variance)
 
-        i_t = select_prompt(cfg.seed, t, n)
+        i_t = select(t)
         # IEEE overflow in the update is detected by the isfinite check below,
         # not treated as an arithmetic error
         with np.errstate(over="ignore", invalid="ignore"):
-            if cfg.algorithm == "reinforce":
-                divisor = 1.0
-                flagged = False
-                eta_eff = eta
-                theta_new = theta + eta * grads[i_t]
-            else:
-                sd = math.sqrt(variance[i_t])
-                flagged = sd < cfg.eps_floor
-                divisor = max(sd, cfg.eps_floor)
-                eta_eff = eta / divisor
-                theta_new = theta + eta_eff * grads[i_t]
+            theta_new, eta_eff, divisor, clamped = _step(
+                cfg.algorithm, theta, stats.grads[i_t], eta, variance[i_t], cfg.eps_floor
+            )
         if not np.all(np.isfinite(theta_new)):
             raise NumericalAbort(t - 1, theta)
+        # The stats at the new iterate give both the selected prompt's
+        # objective after the step and the next iteration's pre-step state.
+        try:
+            stats = batch_stats(fs, theta_new)
+        except FloatingPointError:
+            raise NumericalAbort(t - 1, theta) from None
 
-        j_after = prompt_stats(fs, theta_new, i_t).objective
-        improvement = j_after - objectives[i_t]
+        improvement = stats.success[i_t] - objectives[i_t]
         bound = per_step_bound(cfg, eta, fs.x_max, grad_sq[i_t], divisor)
         keep_arrays = snapshot_cadence == 1 or t % snapshot_cadence == 0
         records.append(
@@ -291,10 +318,10 @@ def run_trajectory(
                 v_selected=float(variance[i_t]),
                 improvement=float(improvement),
                 bound_slack=float(improvement - bound),
-                variance_flag=flagged,
+                variance_flag=clamped,
                 objectives=objectives if keep_arrays else None,
                 grad_sq=grad_sq if keep_arrays else None,
-                success=success if keep_arrays else None,
+                success=objectives if keep_arrays else None,
                 variance=variance if keep_arrays else None,
             )
         )

@@ -100,6 +100,7 @@ def test_rejects_trailing_garbage(tmp_path):
         ("n: 1\nK: 2\nd: 1\ncorrect: 2\nfeatures 0:\n1.0\n0.0\n", "correct indices"),
         ("n: 1\nK: 2\nd: 1\ncorrect: 0\nfeatures 0:\nnan\n0.0\n", "non-finite"),
         ("n: 1\nK: 2\nd: 1\ncorrect: 0\nfeatures 0:\n1.0\n\u00e9\n", "not ASCII"),
+        ("n: 1\nK: 2\nd: 1\ncorrect: 1\nfeatures 0:\n0.0\n0.0\n", "every feature matrix is zero"),
     ],
 )
 def test_every_malformed_instance_is_a_format_error(tmp_path, body, match):

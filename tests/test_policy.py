@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from rlvrlab.oracle import eig_spectral_norm, fd_gradient, fd_hessian
 from rlvrlab.policy import (
     FeatureSet,
+    batch_stats,
     grpo_gradient,
     hessian_matrix,
     hessian_quadratic_form,
@@ -57,6 +58,54 @@ class TestFeatureSet:
     def test_features_frozen(self, identity_pair):
         with pytest.raises(ValueError):
             identity_pair.features[0][0, 0] = 5.0
+
+    def test_features_are_views_of_the_stacked_array(self, ortho_instance):
+        fs = ortho_instance
+        assert fs.stacked.shape == (fs.n, fs.K, fs.d)
+        assert not fs.stacked.flags.writeable
+        for i, X in enumerate(fs.features):
+            assert np.shares_memory(X, fs.stacked)
+            np.testing.assert_array_equal(X, fs.stacked[i])
+
+
+class TestBatchStats:
+    """The stacked kernel against the per-prompt reference, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 9),
+        K=st.integers(2, 20),
+        d=st.integers(1, 40),
+        log_scale=st.floats(-2.0, 2.0),
+    )
+    def test_bit_equal_to_per_prompt_functions(self, seed, n, K, d, log_scale):
+        rng = stream_rng(seed, 2)
+        fs = FeatureSet(
+            features=tuple(rng.standard_normal((K, d)) for _ in range(n)),
+            correct=rng.integers(0, K, size=n),
+        )
+        theta = rng.standard_normal(d) * 10.0**log_scale
+        b = batch_stats(fs, theta)
+        for i in range(n):
+            s = prompt_stats(fs, theta, i)
+            g = policy_gradient(fs, theta, i)
+            assert np.array_equal(b.probs[i], s.probs)
+            assert b.success[i] == s.success and b.variance[i] == s.variance
+            assert np.array_equal(b.grads[i], g)
+            assert b.grad_sq[i] == float(g @ g)
+            p = b.prompt(i)
+            assert np.array_equal(p.probs, s.probs)
+            assert (p.success, p.variance, p.objective) == (s.success, s.variance, s.objective)
+
+    def test_rejects_overflowing_logits_and_bad_theta(self, identity_pair):
+        huge = FeatureSet(features=(np.array([[1e300], [0.0]]),), correct=[0])
+        with pytest.raises(FloatingPointError):
+            batch_stats(huge, np.array([1e10]))
+        with pytest.raises(ValueError):
+            batch_stats(identity_pair, np.array([np.nan, 0.0]))
+        with pytest.raises(ValueError):
+            batch_stats(identity_pair, np.zeros(3))
 
 
 class TestPromptStats:

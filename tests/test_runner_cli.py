@@ -98,18 +98,29 @@ class TestRunExperiment:
         assert res1.summary["config_hash"] != res2.summary["config_hash"]
         assert res2.summary["config"]["trainer"]["seed"] == 5
 
+    def test_seed_override_leaves_caller_config_unchanged(self, tmp_path):
+        cfg = small_cfg()
+        echo = json.loads(json.dumps(cfg.echo))
+        content_hash = cfg.content_hash
+        run_experiment(cfg, out_dir=tmp_path / "a", seed_override=5)
+        assert cfg.echo == echo
+        assert cfg.content_hash == content_hash
+        assert cfg.trainer.seed == SMALL["trainer"]["seed"]
+
     def test_abort_writes_last_good_report(self, tmp_path):
-        cfg = small_cfg(
-            scenario={"params": {"n": 2, "K": 3, "block_dim": 2, "scale": 40.0}},
-            trainer={"step_rule": "manual", "eta": 1e308},
-        )
         from rlvrlab.trainers import NumericalAbort
 
-        with pytest.raises(NumericalAbort):
-            run_experiment(cfg, out_dir=tmp_path / "run")
-        report = json.loads((tmp_path / "run" / "abort.json").read_text())
-        assert report["error"] == "numerical_abort"
-        assert report["last_good_iteration"] == 0
+        # 1e308 overflows the step itself, 1e306 only the logits after it
+        for eta in (1e308, 1e306):
+            cfg = small_cfg(
+                scenario={"params": {"n": 2, "K": 3, "block_dim": 2, "scale": 40.0}},
+                trainer={"step_rule": "manual", "eta": eta},
+            )
+            with pytest.raises(NumericalAbort):
+                run_experiment(cfg, out_dir=tmp_path / f"run{eta:g}")
+            report = json.loads((tmp_path / f"run{eta:g}" / "abort.json").read_text())
+            assert report["error"] == "numerical_abort"
+            assert report["last_good_iteration"] == 0
 
 
 class TestSweep:
@@ -215,6 +226,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "median iterations-to-threshold" in out
 
+    def test_sweep_malformed_seeds_exit_two(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--seeds", "a,b", "--out", str(tmp_path / "sw")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seeds") and err.count("\n") == 1
+
     def test_diagnose_instance_exit_codes(self, tmp_path):
         ok = orthogonal_blocks(n=2, K=2, block_dim=2, scale=1.0, rng=stream_rng(61, SCENARIO_STREAM))
         ok_path = tmp_path / "ok.txt"
@@ -276,11 +293,16 @@ class TestCli:
     def test_diagnose_unusable_inputs_exit_two(self, tmp_path, capsys):
         path = tmp_path / "pair.txt"
         save_instance(FeatureSet(features=(np.eye(2), np.eye(2)), correct=[0, 1]), path)
-        # 'profile' needs a block-orthogonal instance; a directory is not an instance file.
+        zero_path = tmp_path / "zero.txt"
+        save_instance(FeatureSet(features=(np.zeros((2, 2)), np.zeros((2, 2))), correct=[0, 1]), zero_path)
+        # 'profile' needs a block-orthogonal instance; a directory is not an
+        # instance file; all-zero features leave x_max = 0 to divide by.
         assert main(["diagnose", "--instance", str(path), "--theta", "profile"]) == 2
         assert main(["diagnose", "--instance", str(tmp_path)]) == 2
+        assert main(["diagnose", "--instance", str(zero_path)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+        assert len(err) == 3 and all(line.startswith("error: ") for line in err)
+        assert "every feature matrix is zero" in err[2]
 
     def test_diagnose_profile_theta(self, tmp_path, capsys):
         fs = orthogonal_blocks(n=2, K=3, block_dim=3, scale=1.0, rng=stream_rng(62, SCENARIO_STREAM))

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from rlvrlab.policy import FeatureSet, policy_gradient, prompt_stats
-from rlvrlab.rng import SCENARIO_STREAM, stream_rng
+from rlvrlab.rng import PROMPT_STREAM, SCENARIO_STREAM, stream_rng
 from rlvrlab.scenarios import difficulty_profile, orthogonal_blocks
 from rlvrlab.trainers import (
     NumericalAbort,
+    PromptSelector,
     RelaxedConstants,
     TrainerConfig,
     cumulative_bound_check,
@@ -94,6 +95,17 @@ class TestSelectPrompt:
         seq2 = [select_prompt(seed=123, t=t, n=5) for t in range(200)]
         assert seq1 == seq2
         assert seq1 != [select_prompt(seed=124, t=t, n=5) for t in range(200)]
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 8])
+    def test_reused_generator_matches_fresh_stream(self, n):
+        # counters out of order, so every draw needs the counter reset
+        ts = [0, 2**64 - 1, 1, 2**63, 7, 2**64 - 2, 3] + list(range(100, 140))
+        for seed in (0, 11, 2**63 + 5):
+            select = PromptSelector(seed, n)
+            for t in ts:
+                expected = int(stream_rng(seed, PROMPT_STREAM, t).integers(0, n))
+                assert select(t) == expected
+                assert select_prompt(seed, t, n) == expected
 
     def test_uniformity_binomial(self):
         # 1e6 draws, each frequency within 3 sigma of 1/4
@@ -254,13 +266,16 @@ class TestRunTrajectory:
         np.testing.assert_array_equal(log.theta_checkpoints[-1][1], log.final_theta)
 
     def test_numerical_abort_reports_last_good_iteration(self):
-        # gradient norm ~ scale/2 at the uniform start, so this step overflows
+        # gradient norm ~ scale/2 at the uniform start: with eta = 1e308 the
+        # step overflows, with eta = 1e306 the new parameters are finite but
+        # their logits overflow
         fs = orthogonal_blocks(n=2, K=3, block_dim=3, scale=40.0, rng=stream_rng(56, SCENARIO_STREAM))
-        cfg = TrainerConfig(algorithm="reinforce", horizon=50, seed=0, step_rule="manual", eta=1e308)
-        with pytest.raises(NumericalAbort) as err:
-            run_trajectory(cfg, fs, np.zeros(fs.d))
-        assert err.value.t == 0
-        assert np.all(np.isfinite(err.value.theta))
+        for eta in (1e308, 1e306):
+            cfg = TrainerConfig(algorithm="reinforce", horizon=50, seed=0, step_rule="manual", eta=eta)
+            with pytest.raises(NumericalAbort) as err:
+                run_trajectory(cfg, fs, np.zeros(fs.d))
+            assert err.value.t == 0
+            np.testing.assert_array_equal(err.value.theta, np.zeros(fs.d))
 
     def test_variance_flag_fires_on_solved_prompt(self):
         fs = FeatureSet(features=(np.eye(2),), correct=[0])
