@@ -204,6 +204,10 @@ def main(argv=None) -> int:
     except (ConfigError, InstanceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except FloatingPointError as exc:
+        # only the finite-logits checks raise it: diagnose at an overflowing theta
+        print(f"numerical abort: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .instancefile import load_instance
+from .instancefile import InstanceFormatError, check_scale, load_instance
 from .policy import FeatureSet
 from .rng import SCENARIO_STREAM, stream_rng
 from .scenarios import difficulty_preset, difficulty_profile, orthogonal_blocks, random_features
@@ -260,6 +260,10 @@ def build_instance(cfg: ExperimentConfig) -> tuple[FeatureSet, np.ndarray]:
             raise ConfigError("scenario.params: instance_file needs a 'path'")
         _check_keys(params, ("path",), "scenario.params")
         fs = load_instance(params["path"])
+    try:
+        check_scale(fs)
+    except InstanceFormatError as exc:
+        raise ConfigError(f"scenario.params: {exc}") from None
 
     spec = cfg.theta0_spec
     kind = spec["kind"]
@@ -271,7 +275,7 @@ def build_instance(cfg: ExperimentConfig) -> tuple[FeatureSet, np.ndarray]:
     elif kind == "difficulty_profile":
         targets = np.asarray(spec["targets"], dtype=np.float64)
         if targets.size == 1:
-            targets = np.full(fs.n, float(targets))
+            targets = np.full(fs.n, targets.item())
         try:
             theta0 = difficulty_profile(fs, targets)
         except ValueError as exc:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .policy import FeatureSet, batch_stats, hessian_matrix, prompt_stats, spectral_norm
+from .policy import FeatureSet, batch_stats, hessian_norm, prompt_stats
 from .trainers import TrajectoryLog
 
 __all__ = [
@@ -300,8 +300,8 @@ def curvature_variance_correlation(
     """
     if fs.n < 3:
         raise ValueError("need at least three prompts with non-identical variances")
-    curvature = np.array([spectral_norm(hessian_matrix(fs, theta, i)) for i in range(fs.n)])
-    variances = np.array([prompt_stats(fs, theta, i).variance for i in range(fs.n)])
+    curvature = np.array([hessian_norm(fs, theta, i) for i in range(fs.n)])
+    variances = batch_stats(fs, theta).variance
     h = fisher_diag_proxy(fs, theta, B, rng)
     if np.ptp(variances) == 0.0 or np.ptp(curvature) == 0.0:
         return FisherReport(
@@ -340,13 +340,9 @@ def lagged_curvature_variance(
     if lag < 0 or len(thetas) <= lag:
         raise ValueError("need more checkpoints than the lag")
     rng = rng or np.random.default_rng(0)
-    curv, var = [], []
-    for k in range(len(thetas) - lag):
-        for i in range(fs.n):
-            curv.append(spectral_norm(hessian_matrix(fs, thetas[k], i)))
-            var.append(prompt_stats(fs, thetas[k + lag], i).variance)
-    curv = np.array(curv)
-    var = np.array(var)
+    pairs = range(len(thetas) - lag)
+    curv = np.array([hessian_norm(fs, thetas[k], i) for k in pairs for i in range(fs.n)])
+    var = np.concatenate([batch_stats(fs, thetas[k + lag]).variance for k in pairs])
     if np.ptp(curv) == 0.0 or np.ptp(var) == 0.0:
         return math.nan, math.nan, curv.size
     r_obs = _pearson(curv, var)
@@ -397,13 +393,13 @@ def lemma_bound_report(
     for i in range(fs.n):
         v = float(stats.variance[i])
         grad_norm = float(np.sqrt(stats.grad_sq[i]))
-        hess_norm = spectral_norm(hessian_matrix(fs, theta, i))
+        hess_norm = hessian_norm(fs, theta, i)
         radius = math.sqrt(v) / fs.x_max
         ball_max = hess_norm
         for _ in range(ball_samples):
             u = rng.standard_normal(fs.d)
             u *= radius * rng.uniform() ** (1.0 / fs.d) / np.linalg.norm(u)
-            ball_max = max(ball_max, spectral_norm(hessian_matrix(fs, theta + u, i)))
+            ball_max = max(ball_max, hessian_norm(fs, theta + u, i))
         rows.append(
             LemmaBoundRow(
                 prompt=i,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .policy import FeatureSet
 
-__all__ = ["save_instance", "load_instance", "InstanceFormatError"]
+__all__ = ["save_instance", "load_instance", "check_scale", "InstanceFormatError"]
 
 MAGIC = "rlvrlab-instance"
 FORMAT_VERSION = 1
@@ -102,9 +102,17 @@ def load_instance(path) -> FeatureSet:
     _expect(not trailing, lineno + 1, "unexpected trailing content")
     try:
         fs = FeatureSet(features=tuple(features), correct=np.array(correct))
+        check_scale(fs)
     except ValueError as exc:
         raise InstanceFormatError(f"{path}: {exc}") from None
-    # Step sizes and smoothness radii divide by x_max.
-    if fs.x_max == 0.0:
-        raise InstanceFormatError(f"{path}: every feature matrix is zero")
     return fs
+
+
+def check_scale(fs: FeatureSet) -> None:
+    """Raise InstanceFormatError unless x_max**2 is a finite nonzero double:
+    step sizes and smoothness radii divide by x_max**2 and x_max."""
+    if fs.x_max == 0.0:
+        raise InstanceFormatError("every feature matrix is zero")
+    with np.errstate(over="ignore"):
+        if not 0.0 < np.square(fs.x_max) < np.inf:
+            raise InstanceFormatError(f"x_max = {fs.x_max:.3g}: x_max**2 is not a finite nonzero double")

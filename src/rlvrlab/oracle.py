@@ -94,8 +94,9 @@ def eig_spectral_norm(m: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) 
     if float(np.abs(a - a.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     d = a.shape[0]
-    if d == 1:
-        return abs(float(a[0, 0]))
+    # Exact power-of-two scaling keeps the sums of squares below in range.
+    exponent = int(np.frexp(np.abs(a).max())[1])
+    a = np.ldexp(a, -exponent)
     norm = np.linalg.norm(a, "fro") or 1.0
     for _ in range(max_sweeps):
         off = np.sqrt(max(0.0, np.sum(a * a) - np.sum(np.diag(a) ** 2)))
@@ -127,7 +128,7 @@ def eig_spectral_norm(m: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) 
                 a[:, q] = s * cp + c * cq
                 a[p, q] = 0.0
                 a[q, p] = 0.0
-    return float(np.abs(np.diag(a)).max())
+    return float(np.ldexp(np.abs(np.diag(a)).max(), exponent))
 
 
 def local_smoothness_envelope(a: float) -> float:

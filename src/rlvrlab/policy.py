@@ -3,7 +3,9 @@ softmax policies with a one-hot reward per prompt.
 
 Every quantity here is closed-form: the per-prompt objective is the success
 probability of the unique correct output, so gradients and Hessians are
-small exact expressions in the softmax vector and the feature matrix.
+small exact expressions in the softmax vector and the feature matrix.  The
+Hessian is X_i^T M X_i with a K x K inner matrix M, so its spectral norm is
+a K x K symmetric eigenproblem whatever the feature dimension d is.
 All functions are pure; a FeatureSet is frozen after construction and safe
 to share across threads.
 """
@@ -26,15 +28,11 @@ __all__ = [
     "grpo_gradient",
     "hessian_quadratic_form",
     "hessian_matrix",
+    "hessian_norm",
     "spectral_norm",
 ]
 
 DEFAULT_EPS_FLOOR = 1e-8
-
-# Dense symmetric eigensolve below this size, shifted power iteration above.
-_EIG_DIRECT_MAX_DIM = 64
-_POWER_TOL = 1e-10
-_POWER_MAX_ITER = 10_000
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -185,7 +183,9 @@ def batch_stats(fs: FeatureSet, theta: np.ndarray) -> BatchStats:
     round differently).
     """
     theta = _check_theta(theta, fs.d)
-    logits = np.matmul(fs.stacked, theta)
+    # The finite check below reports an overflow; numpy need not warn first.
+    with np.errstate(over="ignore"):
+        logits = np.matmul(fs.stacked, theta)
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits")
     z = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -258,6 +258,13 @@ def hessian_quadratic_form(fs: FeatureSet, theta: np.ndarray, i: int, y: np.ndar
     return float(hr @ (u * u) - 2.0 * (hr @ u) * (stats.probs @ u))
 
 
+def _hessian_inner(fs: FeatureSet, theta: np.ndarray, i: int) -> np.ndarray:
+    """M = diag(Hr) - (Hr) pi^T - pi (Hr)^T, the K x K factor of Hess(J_i) = X_i^T M X_i."""
+    stats = prompt_stats(fs, theta, i)
+    hr = _covariance_times_reward(stats.probs, fs.correct[i])
+    return np.diag(hr) - np.outer(hr, stats.probs) - np.outer(stats.probs, hr)
+
+
 def hessian_matrix(fs: FeatureSet, theta: np.ndarray, i: int) -> np.ndarray:
     """Dense symmetric Hessian of J_i at theta.
 
@@ -265,49 +272,26 @@ def hessian_matrix(fs: FeatureSet, theta: np.ndarray, i: int) -> np.ndarray:
     X^T [diag(Hr) - (Hr) pi^T - pi (Hr)^T] X, which is symmetric by
     construction.
     """
-    stats = prompt_stats(fs, theta, i)
-    hr = _covariance_times_reward(stats.probs, fs.correct[i])
+    inner = _hessian_inner(fs, theta, i)
     X = fs.features[i]
-    inner = np.diag(hr) - np.outer(hr, stats.probs) - np.outer(stats.probs, hr)
     return X.T @ inner @ X
 
 
-def _power_spectral_norm(m: np.ndarray) -> float:
-    """Largest |eigenvalue| of symmetric m via two shifted power iterations.
+def hessian_norm(fs: FeatureSet, theta: np.ndarray, i: int) -> float:
+    """Spectral norm of Hess(J_i) at theta, without forming the d x d matrix.
 
-    Power iteration on m + cI targets the top of the spectrum, on cI - m the
-    bottom; the shift c dominates the spectrum so both iterations converge to
-    a simple dominant eigenvalue.
+    With the QR factorization X_i^T = Q R (Q with orthonormal columns, R of
+    shape min(d, K) x K), Hess = Q (R M R^T) Q^T, so its nonzero eigenvalues
+    are those of the small symmetric matrix R M R^T.
     """
-    d = m.shape[0]
-    c = float(np.linalg.norm(m, "fro")) or 1.0
-    rng = np.random.default_rng(0)
-
-    def dominant(mat):
-        v = rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(_POWER_MAX_ITER):
-            w = mat @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0
-            v = w / nw
-            lam = float(v @ (mat @ v))
-            if np.linalg.norm(mat @ v - lam * v) <= _POWER_TOL * max(1.0, abs(lam)):
-                break
-        return lam
-
-    hi = dominant(m + c * np.eye(d)) - c    # ~ lambda_max(m)
-    lo = c - dominant(c * np.eye(d) - m)    # ~ lambda_min(m)
-    return max(abs(hi), abs(lo))
+    inner = _hessian_inner(fs, theta, i)
+    r = np.linalg.qr(fs.features[i].T, mode="r")
+    return float(np.abs(np.linalg.eigvalsh(r @ inner @ r.T)).max())
 
 
 def spectral_norm(m: np.ndarray, sym_tol: float = 1e-12) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix.
-
-    Uses a dense symmetric eigensolve up to 64 x 64 and shifted power
-    iteration above.  Raises on asymmetric input.
+    """Largest absolute eigenvalue of a symmetric matrix, by a dense
+    symmetric eigensolve.  Raises on asymmetric input.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -315,6 +299,4 @@ def spectral_norm(m: np.ndarray, sym_tol: float = 1e-12) -> float:
     scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
     if float(np.abs(m - m.T).max()) > sym_tol * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    if m.shape[0] <= _EIG_DIRECT_MAX_DIM:
-        return float(np.abs(np.linalg.eigvalsh(m)).max())
-    return _power_spectral_norm(m)
+    return float(np.abs(np.linalg.eigvalsh(m)).max())

@@ -80,6 +80,10 @@ class TrainerConfig:
                 raise ValueError("manual step rule requires eta > 0")
         if self.step_rule == "relaxed" and self.relaxed_constants is None:
             raise ValueError("relaxed step rule requires relaxed_constants")
+        # r1 and r2 bound max/min ratios, m is a nonnegative interaction constant
+        m, r1, r2 = self.relaxed_constants or (0.0, 1.0, 1.0)
+        if not (0.0 <= m < math.inf and 1.0 <= r1 < math.inf and 1.0 <= r2 < math.inf):
+            raise ValueError("relaxed_constants need finite m >= 0, r1 >= 1 and r2 >= 1")
         if self.eps_floor <= 0:
             raise ValueError("eps_floor must be positive")
 

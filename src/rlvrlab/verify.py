@@ -37,10 +37,10 @@ from .oracle import fd_gradient, fd_hessian, grid_max_f, local_smoothness_envelo
 from .policy import (
     FeatureSet,
     hessian_matrix,
+    hessian_norm,
     hessian_quadratic_form,
     policy_gradient,
     prompt_stats,
-    spectral_norm,
 )
 from .rng import PERMUTATION_STREAM, SCENARIO_STREAM, stream_rng
 from .runner import run_experiment, run_sweep
@@ -170,7 +170,7 @@ def c3_lemma_curvature_bound(_work: Path) -> CriterionResult:
         ok = True
         for i in range(fs.n):
             v = prompt_stats(fs, theta, i).variance
-            hn = spectral_norm(hessian_matrix(fs, theta, i))
+            hn = hessian_norm(fs, theta, i)
             ok &= _within(hn, 4.0 * fs.x_max**2 * v) and _within(hn, sharp * fs.x_max**2 * v)
         return ok
 
@@ -212,7 +212,7 @@ def c5_local_smoothness_ball(_work: Path) -> CriterionResult:
         radius = math.sqrt(v) / fs.x_max
         u = rng.standard_normal(fs.d)
         u *= radius * rng.uniform() ** (1.0 / fs.d) / np.linalg.norm(u)
-        hn = spectral_norm(hessian_matrix(fs, theta + u, i))
+        hn = hessian_norm(fs, theta + u, i)
         return _within(hn, 2.5 * fs.x_max**2 * math.sqrt(v))
 
     violations, samples = _lemma_sweep(105, check)

@@ -103,15 +103,16 @@ def test_criterion_13_reproducibility(work_dir):
 def test_verify_battery_detects_injected_curvature_bug(work_dir, monkeypatch):
     """Mutation sanity: a corrupted Hessian must trip the sweeps.
 
-    A tripled Hessian breaks the curvature bound sweep; a sign flip alone
-    cannot (the bound is derived through absolute values), but it cannot
-    survive the finite-difference consistency check either.
+    A tripled Hessian norm breaks the curvature bound sweep; a sign flip of
+    the Hessian alone cannot (the bound is derived through absolute values),
+    but it cannot survive the finite-difference consistency check either.
     """
     import rlvrlab.verify as v
 
-    real = v.hessian_matrix
-    monkeypatch.setattr(v, "hessian_matrix", lambda fs, theta, i: 3.0 * real(fs, theta, i))
+    real_norm = v.hessian_norm
+    monkeypatch.setattr(v, "hessian_norm", lambda fs, theta, i: 3.0 * real_norm(fs, theta, i))
     assert not v.c3_lemma_curvature_bound(work_dir).passed
 
+    real = v.hessian_matrix
     monkeypatch.setattr(v, "hessian_matrix", lambda fs, theta, i: -real(fs, theta, i))
     assert not v.c2_hessian_consistency(work_dir).passed

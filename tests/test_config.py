@@ -130,6 +130,22 @@ def test_build_instance_preset_uses_profile_by_default():
     np.testing.assert_array_equal(theta0z, 0.0)
 
 
+def test_build_instance_single_target_applies_to_every_prompt():
+    cfgd = json.loads(json.dumps(MINIMAL))
+    cfgd["scenario"]["theta0"] = {"kind": "difficulty_profile", "targets": [0.3]}
+    fs, theta0 = build_instance(parse_config_dict(cfgd))
+    for i in range(fs.n):
+        assert prompt_stats(fs, theta0, i).success == pytest.approx(0.3, abs=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e-162])
+def test_build_instance_refuses_unmeasurable_scale(scale):
+    cfgd = json.loads(json.dumps(MINIMAL))
+    cfgd["scenario"]["params"]["scale"] = scale
+    with pytest.raises(ConfigError, match="x_max"):
+        build_instance(parse_config_dict(cfgd))
+
+
 def test_bad_generator_params_reported():
     cfgd = json.loads(json.dumps(MINIMAL))
     cfgd["scenario"]["params"] = {"n": 2, "K": 2, "block_dim": 2, "scale": 1.0, "extra": 5}

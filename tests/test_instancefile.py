@@ -101,6 +101,8 @@ def test_rejects_trailing_garbage(tmp_path):
         ("n: 1\nK: 2\nd: 1\ncorrect: 0\nfeatures 0:\nnan\n0.0\n", "non-finite"),
         ("n: 1\nK: 2\nd: 1\ncorrect: 0\nfeatures 0:\n1.0\n\u00e9\n", "not ASCII"),
         ("n: 1\nK: 2\nd: 1\ncorrect: 1\nfeatures 0:\n0.0\n0.0\n", "every feature matrix is zero"),
+        ("n: 1\nK: 2\nd: 1\ncorrect: 1\nfeatures 0:\n1e300\n0.0\n", "x_max\\*\\*2 is not a finite"),
+        ("n: 1\nK: 2\nd: 1\ncorrect: 1\nfeatures 0:\n1e-300\n0.0\n", "x_max\\*\\*2 is not a finite"),
     ],
 )
 def test_every_malformed_instance_is_a_format_error(tmp_path, body, match):

@@ -107,8 +107,10 @@ class TestJacobiEigensolve:
             d = int(rng.integers(1, 30))
             m = rng.standard_normal((d, d))
             m = 0.5 * (m + m.T)
-            expected = float(np.abs(np.linalg.eigvalsh(m)).max())
-            assert eig_spectral_norm(m) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+            # sums of squares of entries this small or large underflow or overflow
+            for scale in (1.0, 1e-200, 1e200):
+                expected = float(np.abs(np.linalg.eigvalsh(scale * m)).max())
+                assert eig_spectral_norm(scale * m) == pytest.approx(expected, rel=1e-10, abs=1e-12 * scale)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

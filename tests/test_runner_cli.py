@@ -250,6 +250,12 @@ class TestCli:
         report = json.loads((tmp_path / "d2" / "diagnosis.json").read_text())
         assert report["assumptions"]["m_status"] == "violated"
 
+        # finite parameters whose logits overflow are a numerical abort
+        wide = FeatureSet(features=(np.diag([1e10, 1.0]), np.eye(2)), correct=[0, 1])
+        save_instance(wide, bad_path)
+        theta_path.write_text("1e300 0\n")
+        assert main(["diagnose", "--instance", str(bad_path), "--theta", str(theta_path)]) == 3
+
     def test_diagnose_config_theta_default_and_zeros(self, tmp_path):
         raw = json.loads(json.dumps(SMALL))
         raw["scenario"]["theta0"] = {"kind": "values", "values": [0.5, 0.1, -0.2, 0.3]}
@@ -295,14 +301,19 @@ class TestCli:
         save_instance(FeatureSet(features=(np.eye(2), np.eye(2)), correct=[0, 1]), path)
         zero_path = tmp_path / "zero.txt"
         save_instance(FeatureSet(features=(np.zeros((2, 2)), np.zeros((2, 2))), correct=[0, 1]), zero_path)
+        huge_path = tmp_path / "huge.txt"
+        save_instance(FeatureSet(features=(1e300 * np.eye(2), np.eye(2)), correct=[0, 1]), huge_path)
         # 'profile' needs a block-orthogonal instance; a directory is not an
-        # instance file; all-zero features leave x_max = 0 to divide by.
+        # instance file; all-zero features leave x_max = 0 to divide by, and
+        # features near 1e300 overflow x_max**2.
         assert main(["diagnose", "--instance", str(path), "--theta", "profile"]) == 2
         assert main(["diagnose", "--instance", str(tmp_path)]) == 2
         assert main(["diagnose", "--instance", str(zero_path)]) == 2
+        assert main(["diagnose", "--instance", str(huge_path)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 3 and all(line.startswith("error: ") for line in err)
+        assert len(err) == 4 and all(line.startswith("error: ") for line in err)
         assert "every feature matrix is zero" in err[2]
+        assert "x_max**2 is not a finite" in err[3]
 
     def test_diagnose_profile_theta(self, tmp_path, capsys):
         fs = orthogonal_blocks(n=2, K=3, block_dim=3, scale=1.0, rng=stream_rng(62, SCENARIO_STREAM))

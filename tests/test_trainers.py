@@ -78,6 +78,13 @@ class TestStepSize:
             TrainerConfig(algorithm="grpo", horizon=1, seed=0, step_rule="manual", eta=-1.0)
         with pytest.raises(ValueError):
             TrainerConfig(algorithm="grpo", horizon=1, seed=0, step_rule="relaxed")
+        # ratio bounds below 1 could shrink the step-size denominator to 0
+        for m, r1, r2 in ((-1.0, 1.0, 1.0), (1.0, 0.5, 1.0), (1.0, 1.0, 1e-300), (math.inf, 1.0, 1.0)):
+            with pytest.raises(ValueError, match="relaxed_constants"):
+                TrainerConfig(
+                    algorithm="grpo", horizon=1, seed=0, step_rule="relaxed",
+                    relaxed_constants=RelaxedConstants(m=m, r1=r1, r2=r2),
+                )
 
     def test_zero_x_max_rejected(self):
         fs = FeatureSet(features=(np.zeros((2, 2)),), correct=[0])
@@ -265,6 +272,7 @@ class TestRunTrajectory:
         assert [t for t, _ in log.theta_checkpoints] == [25, 50, 75, 100]
         np.testing.assert_array_equal(log.theta_checkpoints[-1][1], log.final_theta)
 
+    @pytest.mark.filterwarnings("error")
     def test_numerical_abort_reports_last_good_iteration(self):
         # gradient norm ~ scale/2 at the uniform start: with eta = 1e308 the
         # step overflows, with eta = 1e306 the new parameters are finite but
