@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ConfigError, build_instance, parse_config
 from .instancefile import InstanceFormatError, load_instance
-from .runner import diagnose_report, run_experiment, run_sweep
+from .runner import _jsonable, diagnose_report, run_experiment, run_sweep
 from .scenarios import DIFFICULTY_TARGETS, difficulty_profile
 from .trainers import NumericalAbort
 from .verify import run_all
@@ -142,7 +142,12 @@ def _cmd_diagnose(args) -> int:
         raise ConfigError(f"diagnose needs at least two prompts, the instance has n = {fs.n}")
     theta = _load_theta(args.theta, fs, default_theta)
     report = diagnose_report(fs, theta)
-    text = json.dumps(report, sort_keys=True, indent=2)
+    # Strict JSON: undefined values (NaN) are written as null, and a value
+    # that overflowed to infinity is a numerical abort.
+    try:
+        text = json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise FloatingPointError("a diagnosis value overflows double range") from None
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -174,6 +179,7 @@ def _cmd_verify(args) -> int:
             "expected_failure": r.expected_failure,
             "elapsed_s": r.elapsed_s,
             "limit_s": r.limit_s,
+            "within_budget": None if r.limit_s is None else r.elapsed_s <= r.limit_s,
             "detail": r.detail,
         }
         for r in results
@@ -205,7 +211,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FloatingPointError as exc:
-        # only the finite-logits checks raise it: diagnose at an overflowing theta
+        # diagnose at a theta whose logits overflow, or on features whose
+        # interaction or bound values overflow
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

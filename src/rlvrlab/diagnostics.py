@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .policy import FeatureSet, batch_stats, hessian_norm, prompt_stats
+from .policy import FeatureSet, _batch_probs, batch_stats, hessian_norm
 from .trainers import TrajectoryLog
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
 
 PHASE_THRESHOLDS = (0.055, 0.10)
 M_VACUOUS_TOL = 1e-12
+_PERMUTATION_TIE_TOL = 1e-12
 
 
 @dataclass
@@ -123,6 +124,9 @@ class MBoundReport:
     n_vacuous: int = 0
 
 
+# |X_i grad_j|^2 grows like x_max^4: an overflow is a numerical abort, not an
+# infinite m_hat.
+@np.errstate(over="raise")
 def m_bound(fs: FeatureSet, theta: np.ndarray, tol: float = M_VACUOUS_TOL) -> MBoundReport:
     if fs.n < 2:
         raise ValueError("need at least two prompts")
@@ -226,27 +230,28 @@ def phase_classify(cos_std: float, thresholds: tuple[float, float] = PHASE_THRES
     return "III"
 
 
-def _scores(fs: FeatureSet, probs: np.ndarray, i: int) -> np.ndarray:
-    """Score vectors grad log pi(o_j | q_i) for all K outputs, as a K x d matrix."""
-    X = fs.features[i]
-    return X - probs @ X
-
-
 def fisher_diag_proxy(fs: FeatureSet, theta: np.ndarray, B: int, rng: np.random.Generator) -> np.ndarray:
     """One draw of the diagonal Fisher estimator B * mean-score (.) mean-score.
 
     Samples B prompts uniformly with replacement, one output per prompt from
     the current policy, and squares the averaged score vector componentwise.
     Entrywise nonnegative by construction.
+
+    The outputs are those of rng.choice(K, p=probs[i]) drawn in turn for each
+    sampled prompt: choice normalizes the cumulative sum of p by its last
+    entry and returns the number of entries <= one uniform draw.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
-    total = np.zeros(fs.d)
-    for i in rng.integers(0, fs.n, size=B):
-        stats = prompt_stats(fs, theta, int(i))
-        j = int(rng.choice(fs.K, p=stats.probs))
-        total += _scores(fs, stats.probs, int(i))[j]
-    mean_score = total / B
+    probs = _batch_probs(fs, theta)
+    prompts = rng.integers(0, fs.n, size=B)
+    cdf = probs.cumsum(axis=1)
+    cdf = cdf / cdf[:, -1:]
+    outputs = (cdf[prompts] <= rng.random(B)[:, None]).sum(axis=1)
+    pbar = np.matmul(probs[:, None, :], fs.stacked)[:, 0, :]
+    scores = fs.stacked[prompts, outputs] - pbar[prompts]
+    # Summed in draw order: scores.sum(axis=0) sums pairwise and rounds differently.
+    mean_score = scores.cumsum(axis=0)[-1] / B
     return B * mean_score * mean_score
 
 
@@ -256,12 +261,9 @@ def exact_fisher_diag(fs: FeatureSet, theta: np.ndarray) -> np.ndarray:
     Averages sum_j pi_j * score_j^2 over prompts; this is what the sampled
     proxy estimates without bias.
     """
-    acc = np.zeros(fs.d)
-    for i in range(fs.n):
-        stats = prompt_stats(fs, theta, i)
-        s = _scores(fs, stats.probs, i)
-        acc += stats.probs @ (s * s)
-    return acc / fs.n
+    probs = _batch_probs(fs, theta)
+    s = fs.stacked - np.matmul(probs[:, None, :], fs.stacked)
+    return np.matmul(probs[:, None, :], s * s)[:, 0, :].cumsum(axis=0)[-1] / fs.n
 
 
 @dataclass
@@ -280,6 +282,22 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     yc = y - y.mean()
     denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
     return float(xc @ yc) / denom
+
+
+def _permutation_test(
+    x: np.ndarray, y: np.ndarray, rng: np.random.Generator, n_permutations: int
+) -> tuple[float, float]:
+    """Pearson r of (x, y) and its one-sided p-value over n_permutations shuffles of y.
+
+    A shuffle counts as a hit when its r reaches r_obs within _PERMUTATION_TIE_TOL,
+    so a shuffle that only swaps equal (or last-bit different) y values counts
+    whatever the rounding of its r.
+    """
+    r_obs = _pearson(x, y)
+    hits = sum(
+        _pearson(x, rng.permutation(y)) >= r_obs - _PERMUTATION_TIE_TOL for _ in range(n_permutations)
+    )
+    return r_obs, (1 + hits) / (n_permutations + 1)
 
 
 def curvature_variance_correlation(
@@ -308,13 +326,7 @@ def curvature_variance_correlation(
             h=h, batch_size=B, pearson_r=math.nan, p_value=math.nan,
             curvature=curvature, variances=variances, constant_variance=True,
         )
-    r_obs = _pearson(curvature, variances)
-    hits = 0
-    for _ in range(n_permutations):
-        r_perm = _pearson(curvature, rng.permutation(variances))
-        if r_perm >= r_obs:
-            hits += 1
-    p = (1 + hits) / (n_permutations + 1)
+    r_obs, p = _permutation_test(curvature, variances, rng, n_permutations)
     return FisherReport(
         h=h, batch_size=B, pearson_r=r_obs, p_value=p,
         curvature=curvature, variances=variances,
@@ -345,9 +357,7 @@ def lagged_curvature_variance(
     var = np.concatenate([batch_stats(fs, thetas[k + lag]).variance for k in pairs])
     if np.ptp(curv) == 0.0 or np.ptp(var) == 0.0:
         return math.nan, math.nan, curv.size
-    r_obs = _pearson(curv, var)
-    hits = sum(_pearson(curv, rng.permutation(var)) >= r_obs for _ in range(n_permutations))
-    return r_obs, (1 + hits) / (n_permutations + 1), curv.size
+    return (*_permutation_test(curv, var, rng, n_permutations), curv.size)
 
 
 @dataclass

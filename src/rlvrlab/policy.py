@@ -172,6 +172,18 @@ def prompt_stats(fs: FeatureSet, theta: np.ndarray, i: int) -> PromptStats:
     )
 
 
+def _batch_probs(fs: FeatureSet, theta: np.ndarray) -> np.ndarray:
+    """The n x K softmax probabilities of every prompt at theta (the head of batch_stats)."""
+    theta = _check_theta(theta, fs.d)
+    # The finite check below reports an overflow; numpy need not warn first.
+    with np.errstate(over="ignore"):
+        logits = np.matmul(fs.stacked, theta)
+    if not np.all(np.isfinite(logits)):
+        raise FloatingPointError("non-finite logits")
+    z = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return z / z.sum(axis=1, keepdims=True)
+
+
 def batch_stats(fs: FeatureSet, theta: np.ndarray) -> BatchStats:
     """prompt_stats, policy_gradient and the squared gradient norm g @ g of
     every prompt at theta, in stacked form.
@@ -182,14 +194,7 @@ def batch_stats(fs: FeatureSet, theta: np.ndarray) -> BatchStats:
     (1 x d) @ (d x 1) matmul for the squared norms (einsum and (g * g).sum()
     round differently).
     """
-    theta = _check_theta(theta, fs.d)
-    # The finite check below reports an overflow; numpy need not warn first.
-    with np.errstate(over="ignore"):
-        logits = np.matmul(fs.stacked, theta)
-    if not np.all(np.isfinite(logits)):
-        raise FloatingPointError("non-finite logits")
-    z = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs = z / z.sum(axis=1, keepdims=True)
+    probs = _batch_probs(fs, theta)
     rows = np.arange(fs.n)
     success = probs[rows, fs.correct]
     variance = success * (1.0 - success)

@@ -96,6 +96,10 @@ def _is_block_orthogonal(fs: FeatureSet) -> bool:
     return True
 
 
+# On huge-scale instances the steering norm and X @ direction overflow and the
+# bracket's softmax meets inf - inf; brentq's NaN check and the residual check
+# refuse those targets, so numpy need not warn first.
+@np.errstate(over="ignore", invalid="ignore")
 def difficulty_profile(fs: FeatureSet, targets) -> np.ndarray:
     """Parameter vector realizing the requested per-prompt success probabilities.
 

@@ -31,7 +31,7 @@ from .diagnostics import (
     exact_fisher_diag,
     fisher_diag_proxy,
     pairwise_grad_cosines,
-    _pearson,
+    _permutation_test,
 )
 from .oracle import fd_gradient, fd_hessian, grid_max_f, local_smoothness_envelope
 from .policy import (
@@ -386,11 +386,7 @@ def c11_curvature_variance_link(_work: Path) -> CriterionResult:
     for s in range(10):
         crng = stream_rng(200 + s, PERMUTATION_STREAM)
         shuffled = crng.permutation(rep.variances)
-        r_obs = _pearson(rep.curvature, shuffled)
-        hits = sum(
-            _pearson(rep.curvature, crng.permutation(shuffled)) >= r_obs for _ in range(10_000)
-        )
-        p = (1 + hits) / 10_001
+        _, p = _permutation_test(rep.curvature, shuffled, crng, 10_000)
         control_hits += p > 0.05
     elapsed = time.perf_counter() - t0
     return CriterionResult(

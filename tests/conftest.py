@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -39,3 +41,12 @@ def make_random_instance(rng, n_max=4, k_max=8, d_max=32, normalize=True):
         )
     theta = rng.uniform(-3.0, 3.0, size=d)
     return fs, theta
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_refuse_constant)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import strict_json
 from rlvrlab.cli import main
 
 EXIT_CODES = {0, 2, 3, 4, 5}
@@ -67,6 +68,9 @@ def test_diagnose_generated_inputs_end_in_an_exit_code(data):
         theta = data.draw(theta_args(tmp))
         rc = main(["diagnose", "--instance", str(instance), "--theta", theta, "--out", str(tmp / "out")])
         assert rc in EXIT_CODES
+        diagnosis = tmp / "out" / "diagnosis.json"
+        if diagnosis.exists():
+            strict_json(diagnosis.read_text())
 
 
 scales = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 300))

@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rlvrlab.diagnostics import (
     _pearson,
+    _permutation_test,
     assumption_report,
     c_constant,
     curvature_variance_correlation,
@@ -23,7 +25,7 @@ from rlvrlab.diagnostics import (
 )
 from rlvrlab.oracle import enumerate_expectation
 from rlvrlab.policy import FeatureSet, prompt_stats
-from rlvrlab.rng import SCENARIO_STREAM, stream_rng
+from rlvrlab.rng import FISHER_STREAM, SCENARIO_STREAM, stream_rng
 from rlvrlab.scenarios import difficulty_preset, difficulty_profile, orthogonal_blocks, random_features
 from rlvrlab.trainers import TrainerConfig, run_trajectory
 
@@ -184,6 +186,83 @@ class TestPhaseClassify:
             phase_classify(0.1, thresholds=(0.2, 0.1))
 
 
+def reference_fisher_proxy(fs, theta, B, rng):
+    """The per-draw loop the stacked proxy replaces: prompt_stats and rng.choice per draw."""
+    total = np.zeros(fs.d)
+    for i in rng.integers(0, fs.n, size=B):
+        probs = prompt_stats(fs, theta, int(i)).probs
+        j = int(rng.choice(fs.K, p=probs))
+        X = fs.features[int(i)]
+        total += (X - probs @ X)[j]
+    mean_score = total / B
+    return B * mean_score * mean_score
+
+
+def reference_exact_fisher(fs, theta):
+    """The per-prompt loop the stacked exact diagonal replaces."""
+    acc = np.zeros(fs.d)
+    for i in range(fs.n):
+        probs = prompt_stats(fs, theta, i).probs
+        s = fs.features[i] - probs @ fs.features[i]
+        acc += probs @ (s * s)
+    return acc / fs.n
+
+
+def gaussian_instance(seed, n, K, d, log_scale):
+    rng = stream_rng(seed, SCENARIO_STREAM)
+    fs = FeatureSet(
+        features=tuple(rng.standard_normal((K, d)) for _ in range(n)),
+        correct=rng.integers(0, K, size=n),
+    )
+    return fs, rng.standard_normal(d) * 10.0**log_scale
+
+
+def assert_same_draws(fs, theta, B, seed, calls):
+    fast_rng, ref_rng = stream_rng(seed, FISHER_STREAM), stream_rng(seed, FISHER_STREAM)
+    for _ in range(calls):
+        assert np.array_equal(
+            fisher_diag_proxy(fs, theta, B, fast_rng), reference_fisher_proxy(fs, theta, B, ref_rng)
+        )
+    np.testing.assert_equal(fast_rng.bit_generator.state, ref_rng.bit_generator.state)
+
+
+class TestFisherStackedAgainstLoops:
+    """The stacked proxy and exact diagonal against the per-prompt loops, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 9),
+        K=st.integers(2, 20),
+        d=st.integers(1, 40),
+        B=st.integers(1, 16),
+        log_scale=st.floats(-2.0, 1.5),
+    )
+    def test_proxy_draws_bit_equal(self, seed, n, K, d, B, log_scale):
+        fs, theta = gaussian_instance(seed, n, K, d, log_scale)
+        assert_same_draws(fs, theta, B, seed, calls=20)
+
+    @pytest.mark.parametrize("B", range(8, 17))
+    def test_proxy_draws_bit_equal_one_feature(self, B):
+        # With d = 1 a pairwise sum over the draws rounds differently from
+        # the loop's running sum once B >= 8.
+        for seed in range(4):
+            fs, theta = gaussian_instance(seed, 5, 6, 1, 0.5)
+            assert_same_draws(fs, theta, B, seed, calls=50)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 9),
+        K=st.integers(2, 20),
+        d=st.integers(1, 40),
+        log_scale=st.floats(-2.0, 1.5),
+    )
+    def test_exact_diagonal_bit_equal(self, seed, n, K, d, log_scale):
+        fs, theta = gaussian_instance(seed, n, K, d, log_scale)
+        assert np.array_equal(exact_fisher_diag(fs, theta), reference_exact_fisher(fs, theta))
+
+
 class TestFisherProxy:
     def test_single_draw_hand_value(self):
         fs = FeatureSet(features=(np.eye(2),), correct=[0])
@@ -266,6 +345,18 @@ class TestCurvatureVarianceCorrelation:
         rep = curvature_variance_correlation(fs, np.zeros(6), B=2, rng=stream_rng(82, 3), n_permutations=100)
         assert rep.constant_variance
         assert math.isnan(rep.pearson_r)
+
+    def test_p_value_stable_under_one_ulp_curvature_change(self):
+        fs, theta0, _ = difficulty_preset(n=6, K=4, block_dim=4, scale=1.0, seed=2)
+        rep = curvature_variance_correlation(fs, theta0, B=4, rng=stream_rng(89, 3), n_permutations=10)
+        # Two variance pairs (near 0.09 and 0.21) differ only in the last bits,
+        # so shuffles that swap them reach r_obs up to rounding.
+        _, p = _permutation_test(rep.curvature, rep.variances, stream_rng(90, 3), 2000)
+        for k in range(fs.n):
+            for toward in (-np.inf, np.inf):
+                curvature = rep.curvature.copy()
+                curvature[k] = np.nextafter(curvature[k], toward)
+                assert _permutation_test(curvature, rep.variances, stream_rng(90, 3), 2000)[1] == p
 
     def test_shuffled_labels_not_significant(self):
         fs, theta0, _ = difficulty_preset(n=6, K=4, block_dim=4, scale=1.0, seed=2)

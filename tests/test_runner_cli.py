@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import strict_json
 from rlvrlab.cli import main
 from rlvrlab.config import build_instance, parse_config_dict
 from rlvrlab.instancefile import save_instance
@@ -247,8 +248,9 @@ class TestCli:
             ["diagnose", "--instance", str(bad_path), "--theta", str(theta_path), "--out", str(tmp_path / "d2")]
         )
         assert code == 5
-        report = json.loads((tmp_path / "d2" / "diagnosis.json").read_text())
+        report = strict_json((tmp_path / "d2" / "diagnosis.json").read_text())
         assert report["assumptions"]["m_status"] == "violated"
+        assert report["assumptions"]["m_hat"] is None
 
         # finite parameters whose logits overflow are a numerical abort
         wide = FeatureSet(features=(np.diag([1e10, 1.0]), np.eye(2)), correct=[0, 1])
@@ -320,8 +322,28 @@ class TestCli:
         path = tmp_path / "inst.txt"
         save_instance(fs, path)
         assert main(["diagnose", "--instance", str(path), "--theta", "profile"]) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = strict_json(capsys.readouterr().out)
         assert report["assumptions"]["m_status"] == "vacuous"
+
+    def test_diagnose_undefined_cosines_are_null(self, tmp_path, capsys):
+        # equal rows give every prompt a zero gradient, so no pair has a cosine
+        path = tmp_path / "flat.txt"
+        save_instance(FeatureSet(features=(np.ones((2, 2)), np.ones((2, 2))), correct=[0, 1]), path)
+        assert main(["diagnose", "--instance", str(path)]) == 0
+        assumptions = strict_json(capsys.readouterr().out)["assumptions"]
+        assert assumptions["n_pairs"] == 0
+        assert [assumptions[k] for k in ("cos_mean", "cos_std", "frac_positive")] == [None] * 3
+
+    def test_diagnose_overflowing_interaction_exit_three(self, tmp_path, capsys):
+        # x_max**2 is a finite double, but |X_i grad_j|^2 in m_bound is not
+        rng = stream_rng(65, SCENARIO_STREAM)
+        huge = FeatureSet(features=tuple(1e150 * rng.uniform(-1, 1, (2, 2)) for _ in range(2)), correct=[0, 1])
+        path = tmp_path / "huge.txt"
+        save_instance(huge, path)
+        assert main(["diagnose", "--instance", str(path), "--out", str(tmp_path / "d")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical abort: ") and err.count("\n") == 1
+        assert not (tmp_path / "d" / "diagnosis.json").exists()
 
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RLVRLAB_OUT_ROOT", str(tmp_path / "root"))
@@ -336,12 +358,20 @@ class TestCli:
         ok = CriterionResult(1, "ok", True, 0.0, None, "fine")
         expected = CriterionResult(2, "known", False, 0.0, None, "documented", expected_failure=True)
         bad = CriterionResult(3, "broken", False, 0.0, None, "regression")
+        timed = CriterionResult(4, "timed", True, 1.5, 10.0, "fine")
+        slow = CriterionResult(5, "slow", False, 12.5, 10.0, "over budget")
 
         monkeypatch.setattr(cli, "run_all", lambda out: [ok, expected])
         assert main(["verify", "--out", str(tmp_path / "v1")]) == 0
-        report = json.loads((tmp_path / "v1" / "verify_report.json").read_text())
+        report = strict_json((tmp_path / "v1" / "verify_report.json").read_text())
         assert [r["passed"] for r in report] == [True, False]
         assert report[1]["expected_failure"] is True
+        assert [r["within_budget"] for r in report] == [None, None]
+
+        monkeypatch.setattr(cli, "run_all", lambda out: [timed, slow])
+        assert main(["verify", "--out", str(tmp_path / "v3")]) == 4
+        report = strict_json((tmp_path / "v3" / "verify_report.json").read_text())
+        assert [(r["limit_s"], r["within_budget"]) for r in report] == [(10.0, True), (10.0, False)]
 
         monkeypatch.setattr(cli, "run_all", lambda out: [ok, expected, bad])
         assert main(["verify", "--out", str(tmp_path / "v2")]) == 4
