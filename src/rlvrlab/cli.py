@@ -126,7 +126,7 @@ def _load_theta(arg: str, fs, default: np.ndarray) -> np.ndarray:
         raise ConfigError(f"--theta file {arg}: {exc}") from None
     if values.shape != (fs.d,):
         raise ConfigError(f"--theta file {arg}: expected {fs.d} values, got {values.shape}")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ConfigError(f"--theta file {arg}: contains non-finite values")
     return values
 

@@ -110,8 +110,9 @@ class MBoundReport:
 
     For each ordered pair (i, j) the requirement is
     m * <grad_i, grad_j> >= |X_i grad_j|^2 / |X_i|^2.  Pairs whose right-hand
-    side is below tolerance are vacuous; pairs with a non-positive inner
-    product and a non-vacuous right-hand side violate the assumption outright.
+    side is below tolerance, or whose X_i is zero, are vacuous; pairs with a
+    non-positive inner product and a non-vacuous right-hand side violate the
+    assumption outright.
     status is "vacuous" (m_hat = 0), "ok" (m_hat = max ratio) or "violated"
     (m_hat undefined).
     """
@@ -137,11 +138,22 @@ def m_bound(fs: FeatureSet, theta: np.ndarray, tol: float = M_VACUOUS_TOL) -> MB
     n_candidates = 0
     n_vacuous = 0
     for i in range(fs.n):
+        norm = fs.x_norms[i]
+        if norm == 0.0:
+            # an all-zero prompt: X_i grad_j = 0, so each of its requirements is vacuous
+            n_vacuous += fs.n - 1
+            continue
+        norm_sq = norm**2
         for j in range(fs.n):
             if i == j:
                 continue
             proj = fs.features[i] @ grads[j]
-            rhs = float(proj @ proj) / fs.x_norms[i] ** 2
+            if norm_sq > 0.0:
+                rhs = float(proj @ proj) / norm_sq
+            else:
+                # the square of a tiny nonzero norm underflows: scale first
+                scaled = proj / norm
+                rhs = float(scaled @ scaled)
             if rhs <= tol:
                 n_vacuous += 1
                 continue
@@ -204,9 +216,9 @@ def c_constant(log: TrajectoryLog) -> tuple[np.ndarray, float]:
     C(i, T) = (8 / 3T) * sum over pre-step states of sqrt(V_i); the aggregate
     averages over prompts.  Bounded by 4/3 since sqrt(p(1-p)) <= 1/2.
     """
-    if not log.records:
+    if len(log) == 0:
         raise ValueError("empty trajectory log")
-    T = len(log.records)
+    T = len(log)
     per_prompt = (8.0 / (3.0 * T)) * log.sqrt_v_sums
     return per_prompt, float(per_prompt.mean())
 
@@ -415,12 +427,14 @@ def lemma_bound_report(
                 prompt=i,
                 grad_norm=grad_norm,
                 hess_norm=hess_norm,
-                bound_hess_4v=4.0 * xsq * v,
-                bound_hess_sharp=(2.0 * math.sqrt(2.0) + 1.0) * xsq * v,
+                # xsq times the variance factor first: 4 xsq alone overflows
+                # for x_max near 1e154, and would give inf * 0 at v = 0
+                bound_hess_4v=4.0 * (xsq * v),
+                bound_hess_sharp=(2.0 * math.sqrt(2.0) + 1.0) * (xsq * v),
                 bound_grad_local=2.0 * float(fs.x_norms[i]) * v,
                 bound_grad_global=0.5 * fs.x_max,
                 ball_hess_max=ball_max,
-                bound_ball=2.5 * xsq * math.sqrt(v),
+                bound_ball=2.5 * (xsq * math.sqrt(v)),
             )
         )
     return rows

@@ -39,7 +39,7 @@ def fd_gradient(f: Callable[[np.ndarray], float], theta: np.ndarray, h: float = 
         fm = f(theta - e)
         e[k] = 0.0
         grad[k] = (fp - fm) / (2.0 * h)
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite finite-difference evaluation")
     return grad
 
@@ -69,7 +69,7 @@ def fd_hessian(f: Callable[[np.ndarray], float], theta: np.ndarray, h: float = F
             hess[j, i] = val
             ej[j] = 0.0
         ei[i] = 0.0
-    if not np.all(np.isfinite(hess)):
+    if not np.isfinite(hess).all():
         raise FloatingPointError("non-finite finite-difference evaluation")
     return 0.5 * (hess + hess.T)
 

@@ -74,7 +74,7 @@ class FeatureSet:
         for i, X in enumerate(feats):
             if X.ndim != 2 or X.shape != (K, d):
                 raise ValueError(f"features[{i}] has shape {X.shape}, expected {(K, d)}")
-            if not np.all(np.isfinite(X)):
+            if not np.isfinite(X).all():
                 raise ValueError(f"features[{i}] contains non-finite entries")
         correct = np.array(self.correct, dtype=np.intp, copy=True)
         if correct.shape != (len(feats),):
@@ -143,14 +143,14 @@ def _check_theta(theta: np.ndarray, d: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (d,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({d},)")
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ValueError("theta contains non-finite entries")
     return theta
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
     """Stabilized softmax: the max logit is subtracted before exponentiation."""
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")
     z = np.exp(logits - logits.max())
     return z / z.sum()
@@ -172,16 +172,39 @@ def prompt_stats(fs: FeatureSet, theta: np.ndarray, i: int) -> PromptStats:
     )
 
 
-def _batch_probs(fs: FeatureSet, theta: np.ndarray) -> np.ndarray:
-    """The n x K softmax probabilities of every prompt at theta (the head of batch_stats)."""
-    theta = _check_theta(theta, fs.d)
-    # The finite check below reports an overflow; numpy need not warn first.
-    with np.errstate(over="ignore"):
-        logits = np.matmul(fs.stacked, theta)
-    if not np.all(np.isfinite(logits)):
+def _probs(fs: FeatureSet, theta: np.ndarray) -> np.ndarray:
+    """The n x K softmax probabilities of every prompt at a checked theta.
+
+    Raises FloatingPointError when the logits overflow.  Callers hold
+    np.errstate(over="ignore"): this finite check reports the overflow, so
+    numpy need not warn first.
+    """
+    logits = np.matmul(fs.stacked, theta)
+    if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")
     z = np.exp(logits - logits.max(axis=1, keepdims=True))
     return z / z.sum(axis=1, keepdims=True)
+
+
+def _batch_probs(fs: FeatureSet, theta: np.ndarray) -> np.ndarray:
+    """The n x K softmax probabilities of every prompt at theta (the head of batch_stats)."""
+    theta = _check_theta(theta, fs.d)
+    with np.errstate(over="ignore"):
+        return _probs(fs, theta)
+
+
+def _batch_stats(fs: FeatureSet, theta: np.ndarray) -> BatchStats:
+    """batch_stats at a theta the caller has checked, under the caller's
+    np.errstate(over="ignore"); the training loop's per-iterate kernel."""
+    probs = _probs(fs, theta)
+    rows = np.arange(fs.n)
+    success = probs[rows, fs.correct]
+    variance = success * (1.0 - success)
+    hr = -success[:, None] * probs
+    hr[rows, fs.correct] = variance
+    grads = np.matmul(fs.stacked.transpose(0, 2, 1), hr[:, :, None])[:, :, 0]
+    grad_sq = np.matmul(grads[:, None, :], grads[:, :, None])[:, 0, 0]
+    return BatchStats(probs=probs, success=success, variance=variance, grads=grads, grad_sq=grad_sq)
 
 
 def batch_stats(fs: FeatureSet, theta: np.ndarray) -> BatchStats:
@@ -194,15 +217,9 @@ def batch_stats(fs: FeatureSet, theta: np.ndarray) -> BatchStats:
     (1 x d) @ (d x 1) matmul for the squared norms (einsum and (g * g).sum()
     round differently).
     """
-    probs = _batch_probs(fs, theta)
-    rows = np.arange(fs.n)
-    success = probs[rows, fs.correct]
-    variance = success * (1.0 - success)
-    hr = -success[:, None] * probs
-    hr[rows, fs.correct] = variance
-    grads = np.matmul(fs.stacked.transpose(0, 2, 1), hr[:, :, None])[:, :, 0]
-    grad_sq = np.matmul(grads[:, None, :], grads[:, :, None])[:, 0, 0]
-    return BatchStats(probs=probs, success=success, variance=variance, grads=grads, grad_sq=grad_sq)
+    theta = _check_theta(theta, fs.d)
+    with np.errstate(over="ignore"):
+        return _batch_stats(fs, theta)
 
 
 def _covariance_times_reward(probs: np.ndarray, a: int) -> np.ndarray:

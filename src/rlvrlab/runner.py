@@ -83,33 +83,30 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, log: TrajectoryLog, n: int, per_prompt: bool) -> None:
+    T = len(log)
+    floats = (
+        log.eta_effective, log.j_mean, log.j_min, log.grad_sq_selected,
+        log.v_selected, log.improvement, log.bound_slack,
+    )
+    rows = [
+        ",".join(cells)
+        for cells in zip(
+            map(str, range(1, T + 1)),
+            map(str, log.selected.tolist()),
+            *(map(repr, col.tolist()) for col in floats),
+            map(str, log.variance_flag.astype(int).tolist()),
+        )
+    ]
     header = CSV_HEADER
     if per_prompt:
         header += "".join(f",J_{i}" for i in range(n)) + "".join(f",V_{i}" for i in range(n))
-    rows = [header]
-    for rec in log.records:
-        row = ",".join(
-            [
-                str(rec.t),
-                str(rec.selected),
-                _f(rec.eta_effective),
-                _f(rec.j_mean),
-                _f(rec.j_min),
-                _f(rec.grad_sq_selected),
-                _f(rec.v_selected),
-                _f(rec.improvement),
-                _f(rec.bound_slack),
-                str(int(rec.variance_flag)),
-            ]
-        )
-        if per_prompt:
-            if rec.objectives is not None:
-                row += "".join("," + _f(v) for v in rec.objectives)
-                row += "".join("," + _f(v) for v in rec.variance)
-            else:
-                row += "," * (2 * n)
-        rows.append(row)
-    path.write_text("\n".join(rows) + "\n", encoding="ascii")
+        c = log.snapshot_cadence
+        wide = ["," * (2 * n)] * T
+        snapshots = np.hstack([log.objectives[c - 1 :: c], log.variance[c - 1 :: c]]).tolist()
+        for row, values in zip(range(c - 1, T, c), snapshots):
+            wide[row] = "," + ",".join(map(repr, values))
+        rows = [a + b for a, b in zip(rows, wide)]
+    path.write_text("\n".join([header] + rows) + "\n", encoding="ascii")
 
 
 def _bound_report_dict(report: BoundReport) -> dict:
@@ -141,11 +138,11 @@ def _bound_report_dict(report: BoundReport) -> dict:
 def _iterations_to_threshold(log: TrajectoryLog, final_mean: float, threshold: float) -> Optional[int]:
     """Smallest state index t (0..T) whose mean objective reaches the threshold;
     final_mean is the mean objective at the final state T."""
-    for rec in log.records:
-        if rec.j_mean >= threshold:
-            return rec.t - 1
+    reached = np.flatnonzero(log.j_mean >= threshold)
+    if reached.size:
+        return int(reached[0])
     if final_mean >= threshold:
-        return len(log.records)
+        return len(log)
     return None
 
 
@@ -153,8 +150,8 @@ def _phase_timeline(log: TrajectoryLog, fs: FeatureSet, theta0: np.ndarray) -> l
     if fs.n < 2:
         return []
     points = [(0, theta0)] + list(log.theta_checkpoints)
-    if not log.theta_checkpoints or log.theta_checkpoints[-1][0] != len(log.records):
-        points.append((len(log.records), log.final_theta))
+    if not log.theta_checkpoints or log.theta_checkpoints[-1][0] != len(log):
+        points.append((len(log), log.final_theta))
     timeline = []
     for t, theta in points:
         rep = pairwise_grad_cosines(fs, theta)
@@ -236,7 +233,7 @@ def run_experiment(
         "c_of_t": bound_report.c_of_t,
         "c_per_prompt": [p.c_i for p in bound_report.prompts],
         "cumulative_bounds": _bound_report_dict(bound_report),
-        "variance_flag_count": sum(int(rec.variance_flag) for rec in log.records),
+        "variance_flag_count": int(log.variance_flag.sum()),
         "phase_timeline": _phase_timeline(log, fs, theta0),
     }
 
@@ -250,25 +247,20 @@ def run_experiment(
         _write_json(json_path, summary)
         artifacts.append(json_path)
     if "svg" in formats:
-        ts = [rec.t for rec in log.records]
+        ts = range(1, len(log) + 1)
         j_path = out / "j_mean.svg"
-        line_plot(ts, [rec.j_mean for rec in log.records], "mean objective vs iteration", j_path)
+        line_plot(ts, log.j_mean.tolist(), "mean objective vs iteration", j_path)
         s_path = out / "bound_slack.svg"
-        line_plot(ts, [rec.bound_slack for rec in log.records], "per-step bound slack vs iteration", s_path)
+        line_plot(ts, log.bound_slack.tolist(), "per-step bound slack vs iteration", s_path)
         artifacts.extend([j_path, s_path])
     return RunResult(out_dir=out, summary=summary, log=log, fs=fs, artifacts=artifacts)
 
 
 def _prefix_c_of_t(log: TrajectoryLog, upto: int) -> Optional[float]:
-    """Aggregate C over the pre-step states 0..upto-1 (needs cadence-1 records)."""
+    """Aggregate C over the pre-step states 0..upto-1."""
     if upto < 1:
         return None
-    acc = None
-    for rec in log.records[:upto]:
-        if rec.variance is None:
-            return None
-        sv = np.sqrt(rec.variance)
-        acc = sv if acc is None else acc + sv
+    acc = np.sqrt(log.variance[:upto]).cumsum(axis=0)[-1]
     return float(np.mean(8.0 / (3.0 * upto) * acc))
 
 

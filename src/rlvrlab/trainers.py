@@ -2,14 +2,15 @@
 
 Both algorithms pick a prompt uniformly at random each iteration and ascend
 its exact gradient; GRPO divides the step by the prompt's reward standard
-deviation.  The loop records enough per-iteration state to check the
-per-step improvement inequalities and the cumulative gradient-norm bounds
-afterwards.
+deviation.  The loop fills a columnar log with enough per-iteration state to
+check the per-step improvement inequalities and the cumulative
+gradient-norm bounds afterwards.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -19,11 +20,11 @@ from .policy import (
     DEFAULT_EPS_FLOOR,
     FeatureSet,
     PromptStats,
-    batch_stats,
+    _batch_stats,
     policy_gradient,
     prompt_stats,
 )
-from .rng import PROMPT_STREAM, StreamCursor
+from .rng import PROMPT_STREAM, _counter, _key, stream_rng
 
 __all__ = [
     "ALGORITHMS",
@@ -35,7 +36,6 @@ __all__ = [
     "NumericalAbort",
     "step_size",
     "per_step_bound",
-    "PromptSelector",
     "select_prompt",
     "reinforce_step",
     "grpo_step",
@@ -90,9 +90,9 @@ class TrainerConfig:
 
 @dataclass
 class IterationRecord:
-    """State of iteration t (1-based).  Per-prompt snapshot arrays describe the
-    pre-step parameters theta_{t-1}; improvement and bound_slack describe the
-    selected prompt across the step."""
+    """Row t (1-based) of a TrajectoryLog.  Per-prompt snapshot arrays describe
+    the pre-step parameters theta_{t-1}; improvement and bound_slack describe
+    the selected prompt across the step."""
 
     t: int
     selected: int
@@ -110,23 +110,111 @@ class IterationRecord:
     variance: Optional[np.ndarray] = None
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Column sums of a, added row by row as a loop accumulates them
+    (a.sum(axis=0) adds pairwise when a has one column)."""
+    return a.cumsum(axis=0)[-1] if len(a) else np.zeros(a.shape[1])
+
+
 @dataclass
 class TrajectoryLog:
+    """A finished run in columns; row t - 1 describes iteration t = 1..T.
+
+    The loop fills the (T, n) per-prompt objectives, squared gradient norms
+    and reward variances at the pre-step state theta_{t-1}, and per step the
+    selected prompt, eta / divisor, the divisor, whether the GRPO variance
+    floor fired, and the selected prompt's objective after the step.  The
+    rest is computed from them at construction: the per-row mean and minimum
+    objective, the selected prompt's grad_sq, variance, improvement,
+    guaranteed improvement (per_step_bound) and bound slack, and the
+    per-prompt sums and minima over the pre-step states t = 0..T-1.
+    `records` is a read-only per-iteration view built on access; its wide
+    arrays are present every `snapshot_cadence` iterations.
+    """
+
     config: TrainerConfig
     eta: float
     x_max: float
     initial_stats: list[PromptStats]
-    records: list[IterationRecord]
     final_theta: np.ndarray
-    # Exact accumulations over t = 0 .. T-1 (pre-step states), kept at every
-    # iteration regardless of snapshot cadence.
-    grad_sq_sums: np.ndarray = field(default=None)
-    grad_sq_mins: np.ndarray = field(default=None)
-    sqrt_v_sums: np.ndarray = field(default=None)
+    objectives: np.ndarray
+    grad_sq: np.ndarray
+    variance: np.ndarray
+    selected: np.ndarray
+    eta_effective: np.ndarray
+    divisor: np.ndarray
+    variance_flag: np.ndarray
+    objective_after: np.ndarray
+    snapshot_cadence: int = 1
     theta_checkpoints: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    j_mean: np.ndarray = field(init=False, repr=False)
+    j_min: np.ndarray = field(init=False, repr=False)
+    grad_sq_selected: np.ndarray = field(init=False, repr=False)
+    v_selected: np.ndarray = field(init=False, repr=False)
+    improvement: np.ndarray = field(init=False, repr=False)
+    bound: np.ndarray = field(init=False, repr=False)
+    bound_slack: np.ndarray = field(init=False, repr=False)
+    grad_sq_sums: np.ndarray = field(init=False, repr=False)
+    grad_sq_mins: np.ndarray = field(init=False, repr=False)
+    sqrt_v_sums: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        rows = np.arange(len(self))
+        self.j_mean = self.objectives.mean(axis=1)
+        self.j_min = self.objectives.min(axis=1)
+        self.grad_sq_selected = self.grad_sq[rows, self.selected]
+        self.v_selected = self.variance[rows, self.selected]
+        self.improvement = self.objective_after - self.objectives[rows, self.selected]
+        self.bound = per_step_bound(self.config, self.eta, self.x_max, self.grad_sq_selected, self.divisor)
+        self.bound_slack = self.improvement - self.bound
+        self.grad_sq_sums = _row_sums(self.grad_sq)
+        self.grad_sq_mins = self.grad_sq.min(axis=0, initial=np.inf)
+        self.sqrt_v_sums = _row_sums(np.sqrt(self.variance))
 
     def __len__(self):
-        return len(self.records)
+        return len(self.selected)
+
+    @property
+    def records(self) -> Sequence[IterationRecord]:
+        """Read-only per-iteration view of the columns."""
+        return _Records(self)
+
+    def _record(self, row: int) -> IterationRecord:
+        t = row + 1
+        keep = t % self.snapshot_cadence == 0
+        objectives = self.objectives[row] if keep else None
+        return IterationRecord(
+            t=t,
+            selected=int(self.selected[row]),
+            eta_effective=float(self.eta_effective[row]),
+            j_mean=float(self.j_mean[row]),
+            j_min=float(self.j_min[row]),
+            grad_sq_selected=float(self.grad_sq_selected[row]),
+            v_selected=float(self.v_selected[row]),
+            improvement=float(self.improvement[row]),
+            bound_slack=float(self.bound_slack[row]),
+            variance_flag=bool(self.variance_flag[row]),
+            objectives=objectives,
+            grad_sq=self.grad_sq[row] if keep else None,
+            success=objectives,
+            variance=self.variance[row] if keep else None,
+        )
+
+
+class _Records(Sequence):
+    """The rows of a TrajectoryLog as IterationRecords, each built when read."""
+
+    def __init__(self, log: TrajectoryLog):
+        self._log = log
+
+    def __len__(self):
+        return len(self._log)
+
+    def __getitem__(self, k):
+        rows = range(len(self._log))[k]
+        if isinstance(rows, range):
+            return [self._log._record(row) for row in rows]
+        return self._log._record(rows)
 
 
 class NumericalAbort(RuntimeError):
@@ -158,49 +246,67 @@ def step_size(cfg: TrainerConfig, fs: FeatureSet) -> float:
     return 1.0 / (2.0 * max(r1, 5.0 * m / 8.0) * r2 * xsq)
 
 
+# Absurd manual step sizes overflow eta^2 x_max^2 to inf: the bound is then
+# -inf, which the slack reports, except at a zero gradient (below).
+@np.errstate(over="ignore", invalid="ignore")
 def per_step_bound(
-    cfg: TrainerConfig, eta: float, x_max: float, grad_sq: float, divisor: float = 1.0
-) -> float:
-    """Guaranteed one-step improvement for the selected prompt.
+    cfg: TrainerConfig, eta: float, x_max: float, grad_sq, divisor=1.0
+) -> np.ndarray:
+    """Guaranteed one-step improvement for the selected prompt, elementwise
+    over arrays of grad_sq and divisor.
 
     REINFORCE: (eta - eta^2 x_max^2 / 2) * |grad|^2 from global smoothness;
     GRPO: (eta - (5/4) eta^2 x_max^2) * |grad|^2 / sd from the local
     smoothness constant valid on the ball the normalized update stays in
     (requires eta <= 1/(2 x_max^2) to be a guarantee).  For the relaxed rule
     the looser constants stated with the relaxed-assumption theorems are used.
-    `divisor` is the realized GRPO divisor max(sd, eps_floor).
+    `divisor` is the realized GRPO divisor max(sd, eps_floor).  A zero
+    gradient guarantees no improvement: its bound is 0, also where the
+    expression would read -inf * 0.
     """
     xsq = x_max * x_max
     # eta * eta instead of eta ** 2: IEEE overflow to inf instead of an
-    # OverflowError for absurd manual step sizes (the run aborts on its own)
+    # OverflowError
     if cfg.algorithm == "reinforce":
         if cfg.step_rule == "relaxed":
             m = cfg.relaxed_constants.m
-            return grad_sq / (2.0 * max(1.0, m / 2.0) * xsq)
-        return (eta - 0.5 * eta * eta * xsq) * grad_sq
-    if cfg.step_rule == "relaxed":
+            bound = grad_sq / (2.0 * max(1.0, m / 2.0) * xsq)
+        else:
+            bound = (eta - 0.5 * eta * eta * xsq) * grad_sq
+    elif cfg.step_rule == "relaxed":
         m, r1, r2 = cfg.relaxed_constants
-        return 3.0 * grad_sq / (16.0 * max(r1, 5.0 * m / 8.0) * r2 * xsq * divisor)
-    return (eta - 1.25 * eta * eta * xsq) * grad_sq / divisor
-
-
-class PromptSelector:
-    """Uniform prompt indices for one seed: iteration t draws from counter t
-    of the seed's prompt stream, through one reused generator."""
-
-    def __init__(self, seed: int, n: int):
-        if n < 1:
-            raise ValueError("need at least one prompt")
-        self.n = n
-        self._cursor = StreamCursor(seed, PROMPT_STREAM)
-
-    def __call__(self, t: int) -> int:
-        return int(self._cursor.at(t).integers(0, self.n))
+        bound = 3.0 * grad_sq / (16.0 * max(r1, 5.0 * m / 8.0) * r2 * xsq * divisor)
+    else:
+        bound = (eta - 1.25 * eta * eta * xsq) * grad_sq / divisor
+    return np.where(grad_sq == 0.0, 0.0, bound)
 
 
 def select_prompt(seed: int, t: int, n: int) -> int:
     """Uniform prompt index for iteration t, addressed by (seed, t)."""
-    return PromptSelector(seed, n)(t)
+    return int(stream_rng(seed, PROMPT_STREAM, t).integers(0, n))
+
+
+def _prompt_draws(seed: int, n: int, count: int, first_t: int = 1) -> np.ndarray:
+    """select_prompt(seed, t, n) for t = first_t .. first_t + count - 1, from
+    one Philox call (1 <= n <= 2**32, and first_t + count - 1 < 2**64).
+
+    integers(0, n) on a fresh stream_rng(seed, PROMPT_STREAM, t) reads the low
+    32 bits of word 0 of Philox block t + 1 (the counter steps before the
+    first block) and applies Lemire's multiply-shift: m = word * n, index
+    m >> 32, rejected when the low half of m is below (2**32 - n) % n.  One
+    generator started at counter first_t produces those blocks in turn, its
+    counter carrying into the second word as a per-t counter would.  A
+    rejected draw reads on into its block, so select_prompt replays it;
+    n = 1 draws nothing.
+    """
+    if n == 1:
+        return np.zeros(count, dtype=np.intp)
+    bitgen = np.random.Philox(key=_key(seed, PROMPT_STREAM), counter=_counter(first_t))
+    m = (bitgen.random_raw(4 * count)[::4] & 0xFFFFFFFF) * np.uint64(n)
+    draws = (m >> 32).astype(np.intp)
+    for k in np.flatnonzero((m & 0xFFFFFFFF) < (2**32 - n) % n).tolist():
+        draws[k] = select_prompt(seed, first_t + k, n)
+    return draws
 
 
 def _step(
@@ -254,9 +360,10 @@ def run_trajectory(
 ) -> TrajectoryLog:
     """Run the configured algorithm for `horizon` iterations from theta0.
 
+    The prompt indices of the whole horizon are drawn before the loop.
     Per-prompt objectives, squared gradient norms, success probabilities and
-    variances are computed at every pre-step state; the wide arrays are stored
-    on records every `snapshot_cadence` iterations (1 = always).  Non-zero
+    variances are logged at every pre-step state; the records view shows the
+    wide arrays every `snapshot_cadence` iterations (1 = always).  Non-zero
     `checkpoint_cadence` stores parameter copies at that cadence for offline
     diagnostics.  The instance is never mutated.  Parameters that go
     non-finite, or whose logits overflow, abort with a NumericalAbort
@@ -267,82 +374,62 @@ def run_trajectory(
     theta = np.array(theta0, dtype=np.float64, copy=True)
     if theta.shape != (fs.d,):
         raise ValueError(f"theta0 has shape {theta.shape}, expected ({fs.d},)")
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ValueError("theta0 contains non-finite entries")
 
     eta = step_size(cfg, fs)
-    n = fs.n
-    select = PromptSelector(cfg.seed, n)
-    # Finite parameters can still overflow the logits: batch_stats then raises
-    # FloatingPointError, and the run aborts at the last completed iteration.
-    try:
-        stats = batch_stats(fs, theta)
-    except FloatingPointError:
-        raise NumericalAbort(0, theta) from None
-    initial = [stats.prompt(i) for i in range(n)]
-    records: list[IterationRecord] = []
-    grad_sq_sums = np.zeros(n)
-    grad_sq_mins = np.full(n, np.inf)
-    sqrt_v_sums = np.zeros(n)
+    T, n = cfg.horizon, fs.n
+    selected = _prompt_draws(cfg.seed, n, T)
+    objectives, grad_sq, variance = np.empty((T, n)), np.empty((T, n)), np.empty((T, n))
+    eta_effective, divisor, objective_after = np.empty(T), np.empty(T), np.empty(T)
+    variance_flag = np.empty(T, dtype=bool)
     checkpoints: list[tuple[int, np.ndarray]] = []
 
-    for t in range(1, cfg.horizon + 1):
-        objectives, grad_sq, variance = stats.success, stats.grad_sq, stats.variance
-        grad_sq_sums += grad_sq
-        np.minimum(grad_sq_mins, grad_sq, out=grad_sq_mins)
-        sqrt_v_sums += np.sqrt(variance)
-
-        i_t = select(t)
-        # IEEE overflow in the update is detected by the isfinite check below,
-        # not treated as an arithmetic error
-        with np.errstate(over="ignore", invalid="ignore"):
-            theta_new, eta_eff, divisor, clamped = _step(
-                cfg.algorithm, theta, stats.grads[i_t], eta, variance[i_t], cfg.eps_floor
-            )
-        if not np.all(np.isfinite(theta_new)):
-            raise NumericalAbort(t - 1, theta)
-        # The stats at the new iterate give both the selected prompt's
-        # objective after the step and the next iteration's pre-step state.
+    # Every iterate is checked once: the isfinite check below catches IEEE
+    # overflow in the update, and _batch_stats raises FloatingPointError on
+    # logits that overflow from finite parameters; the run then aborts at the
+    # last completed iteration.
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            stats = batch_stats(fs, theta_new)
+            stats = _batch_stats(fs, theta)
         except FloatingPointError:
-            raise NumericalAbort(t - 1, theta) from None
-
-        improvement = stats.success[i_t] - objectives[i_t]
-        bound = per_step_bound(cfg, eta, fs.x_max, grad_sq[i_t], divisor)
-        keep_arrays = snapshot_cadence == 1 or t % snapshot_cadence == 0
-        records.append(
-            IterationRecord(
-                t=t,
-                selected=i_t,
-                eta_effective=eta_eff,
-                j_mean=float(objectives.mean()),
-                j_min=float(objectives.min()),
-                grad_sq_selected=float(grad_sq[i_t]),
-                v_selected=float(variance[i_t]),
-                improvement=float(improvement),
-                bound_slack=float(improvement - bound),
-                variance_flag=clamped,
-                objectives=objectives if keep_arrays else None,
-                grad_sq=grad_sq if keep_arrays else None,
-                success=objectives if keep_arrays else None,
-                variance=variance if keep_arrays else None,
+            raise NumericalAbort(0, theta) from None
+        initial = [stats.prompt(i) for i in range(n)]
+        for row, i_t in enumerate(selected.tolist()):
+            objectives[row] = stats.success
+            grad_sq[row] = stats.grad_sq
+            variance[row] = stats.variance
+            theta_new, eta_effective[row], divisor[row], variance_flag[row] = _step(
+                cfg.algorithm, theta, stats.grads[i_t], eta, stats.variance[i_t], cfg.eps_floor
             )
-        )
-        if checkpoint_cadence and t % checkpoint_cadence == 0:
-            checkpoints.append((t, theta_new.copy()))
-        theta = theta_new
+            if not np.isfinite(theta_new).all():
+                raise NumericalAbort(row, theta)
+            # The stats at the new iterate give both the selected prompt's
+            # objective after the step and the next iteration's pre-step state.
+            try:
+                stats = _batch_stats(fs, theta_new)
+            except FloatingPointError:
+                raise NumericalAbort(row, theta) from None
+            objective_after[row] = stats.success[i_t]
+            if checkpoint_cadence and (row + 1) % checkpoint_cadence == 0:
+                checkpoints.append((row + 1, theta_new.copy()))
+            theta = theta_new
 
     return TrajectoryLog(
         config=cfg,
         eta=eta,
         x_max=fs.x_max,
         initial_stats=initial,
-        records=records,
         final_theta=theta,
-        grad_sq_sums=grad_sq_sums,
-        grad_sq_mins=grad_sq_mins,
-        sqrt_v_sums=sqrt_v_sums,
+        objectives=objectives,
+        grad_sq=grad_sq,
+        variance=variance,
+        selected=selected,
+        eta_effective=eta_effective,
+        divisor=divisor,
+        variance_flag=variance_flag,
+        objective_after=objective_after,
+        snapshot_cadence=snapshot_cadence,
         theta_checkpoints=checkpoints,
     )
 
@@ -404,10 +491,10 @@ def cumulative_bound_check(log: TrajectoryLog, fs: FeatureSet) -> BoundReport:
     the theorem statement (max(r1, 5m/8) r2) and the one from its derivation
     (max(r1 r2, m/2)) are reported rather than adjudicated.
     """
-    if not log.records:
+    if len(log) == 0:
         raise ValueError("empty trajectory log")
     cfg = log.config
-    T = len(log.records)
+    T = len(log)
     n = fs.n
     xsq = log.x_max**2
     prompts = []

@@ -102,6 +102,24 @@ class TestMBound:
         rep = m_bound(anti_aligned_pair(), np.zeros(2))
         assert rep.status == "violated"
 
+    @pytest.mark.filterwarnings("error")
+    def test_all_zero_prompt_is_vacuous(self):
+        # X_1 = 0 makes X_1 grad_0 = 0 and grad_1 = 0: both pairs are vacuous,
+        # not a violation with an undefined m_hat
+        fs = FeatureSet(features=(np.eye(2), np.zeros((2, 2))), correct=[0, 0])
+        rep = m_bound(fs, np.zeros(2))
+        assert rep.status == "vacuous" and rep.m_hat == 0.0
+        assert rep.n_vacuous == 2 and rep.violations == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_prompt_scaled_before_squaring(self):
+        # |X_1|^2 = 1e-340 underflows to 0 while |X_1 grad_0|^2 does not; pair
+        # (1, 0) asks m >= |grad_0|^2 / <grad_1, grad_0> = 1.25e23 / 1.25e-159
+        fs = FeatureSet(features=(1e12 * np.eye(2), 1e-170 * np.eye(2)), correct=[0, 0])
+        rep = m_bound(fs, np.zeros(2))
+        assert rep.status == "ok" and rep.worst_pair == (1, 0)
+        assert rep.m_hat == pytest.approx(1e182, rel=1e-12)
+
 
 class TestScaleRegularity:
     def test_symmetric_instance_gives_unit_ratios(self):
@@ -413,6 +431,19 @@ class TestLemmaBoundReport:
         rows = lemma_bound_report(fs, np.zeros(2), rng=stream_rng(85, 3))
         assert rows[0].hess_norm == pytest.approx(0.0, abs=1e-15)
         assert rows[0].bound_hess_4v == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bounds_finite_near_largest_accepted_scale(self):
+        # x_max = 9e153: 4 x_max^2 overflows, x_max^2 V does not; a solved
+        # prompt (V = 0) has bounds 0, not inf * 0
+        X = 9e153 * np.eye(2)
+        fs = FeatureSet(features=(X, X.copy()), correct=[0, 0])
+        for row in lemma_bound_report(fs, np.array([600 / 9e153, 0.0]), ball_samples=2):
+            assert row.bound_hess_4v == row.bound_hess_sharp == row.bound_ball == 0.0
+        for row in lemma_bound_report(fs, np.zeros(2), ball_samples=2):
+            assert row.bound_hess_4v == pytest.approx(9e153**2, rel=1e-12)
+            assert row.bound_hess_sharp == pytest.approx((2 * math.sqrt(2) + 1) / 4 * 9e153**2, rel=1e-12)
+            assert row.bound_ball == pytest.approx(1.25 * 9e153**2, rel=1e-12)
 
     def test_slack_nonnegative_across_instances(self):
         rng = stream_rng(86, SCENARIO_STREAM)

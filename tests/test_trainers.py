@@ -3,18 +3,22 @@ rules against their spelled-out forms, per-step instrumentation, and the
 cumulative bound checker."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rlvrlab.policy import FeatureSet, policy_gradient, prompt_stats
 from rlvrlab.rng import PROMPT_STREAM, SCENARIO_STREAM, stream_rng
-from rlvrlab.scenarios import difficulty_profile, orthogonal_blocks
+from rlvrlab.scenarios import difficulty_profile, orthogonal_blocks, random_features
 from rlvrlab.trainers import (
+    ALGORITHMS,
+    STEP_RULES,
     NumericalAbort,
-    PromptSelector,
     RelaxedConstants,
     TrainerConfig,
+    _prompt_draws,
     cumulative_bound_check,
     grpo_step,
     per_step_bound,
@@ -105,14 +109,28 @@ class TestSelectPrompt:
 
     @pytest.mark.parametrize("n", [1, 3, 5, 8])
     def test_reused_generator_matches_fresh_stream(self, n):
-        # counters out of order, so every draw needs the counter reset
-        ts = [0, 2**64 - 1, 1, 2**63, 7, 2**64 - 2, 3] + list(range(100, 140))
+        # one generator for a run of counters, against a fresh one per counter
         for seed in (0, 11, 2**63 + 5):
-            select = PromptSelector(seed, n)
-            for t in ts:
-                expected = int(stream_rng(seed, PROMPT_STREAM, t).integers(0, n))
-                assert select(t) == expected
-                assert select_prompt(seed, t, n) == expected
+            for first_t, count in ((0, 1), (1, 40), (2**63, 5), (2**64 - 3, 3)):
+                expected = [
+                    int(stream_rng(seed, PROMPT_STREAM, t).integers(0, n))
+                    for t in range(first_t, first_t + count)
+                ]
+                draws = _prompt_draws(seed, n, count, first_t)
+                assert draws.tolist() == expected
+                assert [select_prompt(seed, t, n) for t in range(first_t, first_t + count)] == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 13, 3 * 2**30])
+    def test_draws_match_fresh_streams(self, n):
+        # at n = 3 * 2**30 about a quarter of the draws are rejected by
+        # Lemire's step and replayed; at 2**64 - 1 the counter carries into its
+        # second word
+        for seed in (0, 2**63 + 5, 2**64 - 1):
+            for first_t, count in ((0, 64), (1, 200), (2**32 - 10, 20), (2**64 - 64, 64), (2**64 - 1, 1)):
+                expected = np.array(
+                    [stream_rng(seed, PROMPT_STREAM, t).integers(0, n) for t in range(first_t, first_t + count)]
+                )
+                assert np.array_equal(_prompt_draws(seed, n, count, first_t), expected)
 
     def test_uniformity_binomial(self):
         # 1e6 draws, each frequency within 3 sigma of 1/4
@@ -285,6 +303,19 @@ class TestRunTrajectory:
             assert err.value.t == 0
             np.testing.assert_array_equal(err.value.theta, np.zeros(fs.d))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_zero_gradient_bound_is_zero_when_eta_squared_overflows(self, algorithm):
+        # the gradient underflows to exactly 0, and eta^2 x_max^2 to inf: the
+        # bound expression reads -inf * 0, but a zero gradient's bound is 0
+        fs = FeatureSet((np.eye(2),), [0])
+        cfg = TrainerConfig(algorithm=algorithm, horizon=3, seed=0, step_rule="manual", eta=1e200)
+        log = run_trajectory(cfg, fs, np.array([400.0, -400.0]))
+        np.testing.assert_array_equal(log.grad_sq_selected, 0.0)
+        np.testing.assert_array_equal(log.bound, 0.0)
+        assert np.isfinite(log.bound_slack).all()
+        assert all(math.isfinite(rec.bound_slack) for rec in log.records)
+
     def test_variance_flag_fires_on_solved_prompt(self):
         fs = FeatureSet(features=(np.eye(2),), correct=[0])
         theta0 = np.array([80.0, -80.0])  # success prob rounds to 1.0
@@ -368,6 +399,117 @@ class TestCumulativeBoundCheck:
     def test_empty_log_rejected(self, identity_fs):
         cfg = TrainerConfig(algorithm="reinforce", horizon=1, seed=0)
         log = run_trajectory(cfg, identity_fs, np.zeros(2))
-        log.records = []
+        empty = replace(log, **{name: getattr(log, name)[:0] for name in LOOP_COLUMNS})
+        assert len(empty) == 0 and len(empty.records) == 0
         with pytest.raises(ValueError):
-            cumulative_bound_check(log, identity_fs)
+            cumulative_bound_check(empty, identity_fs)
+
+
+# The columns run_trajectory's loop fills; TrajectoryLog derives the rest.
+LOOP_COLUMNS = (
+    "objectives", "grad_sq", "variance", "selected", "eta_effective", "divisor",
+    "variance_flag", "objective_after",
+)
+DERIVED_COLUMNS = (
+    "j_mean", "j_min", "grad_sq_selected", "v_selected", "improvement", "bound_slack",
+    "grad_sq_sums", "grad_sq_mins", "sqrt_v_sums",
+)
+
+
+def reference_trajectory(cfg, fs, theta0, checkpoint_cadence):
+    """The per-iteration loop the columnar one replaced: prompt_stats and
+    policy_gradient per prompt, one select_prompt per step, every per-step
+    quantity reduced in the loop, and the running sums accumulated in it."""
+    eta = step_size(cfg, fs)
+    n = fs.n
+    theta = np.array(theta0, dtype=np.float64)
+    cols = {name: [] for name in LOOP_COLUMNS + DERIVED_COLUMNS[:6]}
+    sums, mins, sqrt_v = np.zeros(n), np.full(n, np.inf), np.zeros(n)
+    checkpoints = []
+    for t in range(1, cfg.horizon + 1):
+        stats = [prompt_stats(fs, theta, i) for i in range(n)]
+        grads = [policy_gradient(fs, theta, i) for i in range(n)]
+        objectives = np.array([s.objective for s in stats])
+        variance = np.array([s.variance for s in stats])
+        grad_sq = np.array([float(g @ g) for g in grads])
+        sums += grad_sq
+        np.minimum(mins, grad_sq, out=mins)
+        sqrt_v += np.sqrt(variance)
+        i_t = select_prompt(cfg.seed, t, n)
+        if cfg.algorithm == "reinforce":
+            divisor, flagged = 1.0, False
+        else:
+            sd = math.sqrt(variance[i_t])
+            divisor, flagged = max(sd, cfg.eps_floor), sd < cfg.eps_floor
+        theta_new = theta + (eta / divisor) * grads[i_t]
+        after = prompt_stats(fs, theta_new, i_t).objective
+        improvement = after - objectives[i_t]
+        bound = float(per_step_bound(cfg, eta, fs.x_max, float(grad_sq[i_t]), divisor))
+        for name, value in (
+            ("objectives", objectives), ("grad_sq", grad_sq), ("variance", variance),
+            ("selected", i_t), ("eta_effective", eta / divisor), ("divisor", divisor),
+            ("variance_flag", flagged), ("objective_after", after),
+            ("j_mean", float(objectives.mean())), ("j_min", float(objectives.min())),
+            ("grad_sq_selected", grad_sq[i_t]), ("v_selected", variance[i_t]),
+            ("improvement", improvement), ("bound_slack", improvement - bound),
+        ):
+            cols[name].append(value)
+        if checkpoint_cadence and t % checkpoint_cadence == 0:
+            checkpoints.append((t, theta_new.copy()))
+        theta = theta_new
+    cols = {name: np.array(values) for name, values in cols.items()}
+    cols.update(grad_sq_sums=sums, grad_sq_mins=mins, sqrt_v_sums=sqrt_v)
+    return cols, theta, checkpoints
+
+
+# n = 1 over 40 steps: numpy sums a one-column array pairwise along axis 0,
+# which rounds differently from the loop's running sum
+@example(
+    algorithm="grpo", step_rule="theorem_default", n=1, K=3, d=4, instance_seed=0, trainer_seed=0,
+    horizon=40, snapshot_cadence=3, checkpoint_cadence=5, eta=1.0, constants=(0.0, 1.0, 1.0),
+)
+@settings(max_examples=80, deadline=None)
+@given(
+    algorithm=st.sampled_from(ALGORITHMS),
+    step_rule=st.sampled_from(STEP_RULES),
+    n=st.integers(1, 9),
+    K=st.integers(2, 5),
+    d=st.integers(1, 6),
+    instance_seed=st.integers(0, 2**32 - 1),
+    trainer_seed=st.sampled_from([0, 1, 12345, 2**63 + 5, 2**64 - 1]),
+    horizon=st.integers(1, 40),
+    snapshot_cadence=st.sampled_from([1, 1, 2, 3, 7]),
+    checkpoint_cadence=st.sampled_from([0, 1, 5]),
+    eta=st.floats(1e-3, 5.0),
+    constants=st.tuples(st.floats(0.0, 4.0), st.floats(1.0, 3.0), st.floats(1.0, 3.0)),
+)
+def test_columnar_log_matches_per_iteration_loop(
+    algorithm, step_rule, n, K, d, instance_seed, trainer_seed, horizon,
+    snapshot_cadence, checkpoint_cadence, eta, constants,
+):
+    rng = np.random.default_rng(instance_seed)
+    fs = random_features(n, K, d, overlap=float(rng.uniform()), rng=rng)
+    theta0 = rng.uniform(-3.0, 3.0, size=d)
+    cfg = TrainerConfig(
+        algorithm=algorithm, horizon=horizon, seed=trainer_seed, step_rule=step_rule,
+        eta=eta if step_rule == "manual" else None,
+        relaxed_constants=RelaxedConstants(*constants) if step_rule == "relaxed" else None,
+    )
+    log = run_trajectory(cfg, fs, theta0, snapshot_cadence, checkpoint_cadence)
+    expected, theta, checkpoints = reference_trajectory(cfg, fs, theta0, checkpoint_cadence)
+    assert len(log) == horizon
+    for name, want in expected.items():
+        assert np.array_equal(getattr(log, name), want), name
+    assert np.array_equal(log.final_theta, theta)
+    assert [t for t, _ in log.theta_checkpoints] == [t for t, _ in checkpoints]
+    for (_, got), (_, want) in zip(log.theta_checkpoints, checkpoints):
+        assert np.array_equal(got, want)
+    for rec in log.records:
+        row = rec.t - 1
+        assert rec.selected == expected["selected"][row]
+        assert rec.bound_slack == expected["bound_slack"][row]
+        if rec.t % snapshot_cadence == 0:
+            assert np.array_equal(rec.objectives, expected["objectives"][row])
+            assert np.array_equal(rec.variance, expected["variance"][row])
+        else:
+            assert rec.objectives is None and rec.variance is None
