@@ -190,13 +190,24 @@ def run_experiment(
         )
         cfg.echo["trainer"]["seed"] = seed_override
     formats = tuple(formats_override) if formats_override is not None else cfg.formats
+    out = _writable_out_dir(cfg, out_dir)
+    fs, theta0 = build_instance(cfg)
+    return _run_instance(cfg, fs, theta0, out, formats)
 
+
+def _writable_out_dir(cfg: ExperimentConfig, out_dir) -> Path:
     out = _resolve_out_dir(cfg, out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if not os.access(out, os.W_OK):
         raise PermissionError(f"output directory {out} is not writable")
+    return out
 
-    fs, theta0 = build_instance(cfg)
+
+def _run_instance(
+    cfg: ExperimentConfig, fs: FeatureSet, theta0: np.ndarray, out: Path, formats
+) -> RunResult:
+    """The run and artifacts of run_experiment on a built instance (neither
+    fs nor theta0 is mutated, so a sweep shares one build)."""
     try:
         log = run_trajectory(
             cfg.trainer,
@@ -290,6 +301,8 @@ def run_sweep(cfg: ExperimentConfig, seeds, algorithms=("reinforce", "grpo"), ou
     out = _resolve_out_dir(cfg, out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    # the sub-configs differ only in trainer and snapshot cadence
+    fs, theta0 = build_instance(cfg)
     runs: dict[tuple[str, int], RunResult] = {}
     for alg in algorithms:
         for seed in seeds:
@@ -302,9 +315,8 @@ def run_sweep(cfg: ExperimentConfig, seeds, algorithms=("reinforce", "grpo"), ou
             sub_cfg.echo["trainer"]["algorithm"] = alg
             sub_cfg.echo["trainer"]["seed"] = seed
             sub_cfg.echo["diagnostics"]["snapshot_cadence"] = 1
-            runs[(alg, seed)] = run_experiment(
-                sub_cfg, out_dir=out / f"{alg}_seed{seed}", formats_override=("csv", "json")
-            )
+            sub_out = _writable_out_dir(sub_cfg, out / f"{alg}_seed{seed}")
+            runs[(alg, seed)] = _run_instance(sub_cfg, fs, theta0, sub_out, ("csv", "json"))
 
     table = []
     for seed in seeds:

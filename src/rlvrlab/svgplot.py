@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 __all__ = ["line_plot"]
 
 _WIDTH, _HEIGHT = 640, 400
@@ -30,13 +32,13 @@ def line_plot(xs, ys, title: str, path) -> None:
     inner_w = _WIDTH - 2 * _MARGIN
     inner_h = _HEIGHT - 2 * _MARGIN
 
-    def sx(x):
-        return _MARGIN + (x - x_lo) / x_span * inner_w
-
-    def sy(y):
-        return _HEIGHT - _MARGIN - (y - y_lo) / y_span * inner_h
-
-    points = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
+    # the per-point arithmetic of (x - lo) / span * inner in Python floats,
+    # elementwise; an inf among the values gives inf / inf = nan, as it does
+    # in Python
+    with np.errstate(over="ignore", invalid="ignore"):
+        px = _MARGIN + (np.array(xs) - x_lo) / x_span * inner_w
+        py = _HEIGHT - _MARGIN - (np.array(ys) - y_lo) / y_span * inner_h
+    points = " ".join(map("{:.6g},{:.6g}".format, px.tolist(), py.tolist()))
     svg = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',

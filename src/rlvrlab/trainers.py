@@ -368,7 +368,34 @@ def run_trajectory(
     diagnostics.  The instance is never mutated.  Parameters that go
     non-finite, or whose logits overflow, abort with a NumericalAbort
     carrying the last good iteration.
+
+    When no two prompts' features share a coordinate, the run is replayed in
+    rounds of updates (see _replay) and gives the general loop's log bit for
+    bit; any other instance runs the loop.
     """
+    return _trajectory(cfg, fs, theta0, snapshot_cadence, checkpoint_cadence, replay=True)
+
+
+def _loop_trajectory(
+    cfg: TrainerConfig,
+    fs: FeatureSet,
+    theta0: np.ndarray,
+    snapshot_cadence: int = 1,
+    checkpoint_cadence: int = 0,
+) -> TrajectoryLog:
+    """run_trajectory through the general loop on any instance: the oracle
+    the round replay is checked against."""
+    return _trajectory(cfg, fs, theta0, snapshot_cadence, checkpoint_cadence, replay=False)
+
+
+def _trajectory(
+    cfg: TrainerConfig,
+    fs: FeatureSet,
+    theta0: np.ndarray,
+    snapshot_cadence: int,
+    checkpoint_cadence: int,
+    replay: bool,
+) -> TrajectoryLog:
     if snapshot_cadence < 1:
         raise ValueError("snapshot_cadence must be >= 1")
     theta = np.array(theta0, dtype=np.float64, copy=True)
@@ -378,8 +405,32 @@ def run_trajectory(
         raise ValueError("theta0 contains non-finite entries")
 
     eta = step_size(cfg, fs)
-    T, n = cfg.horizon, fs.n
-    selected = _prompt_draws(cfg.seed, n, T)
+    selected = _prompt_draws(cfg.seed, fs.n, cfg.horizon)
+    run = None
+    if replay:
+        owner = _coordinate_owners(fs)
+        if owner is not None:
+            run = _replay(cfg, fs, theta, eta, selected, owner, checkpoint_cadence)
+    if run is None:
+        run = _loop(cfg, fs, theta, eta, selected, checkpoint_cadence)
+    initial, final_theta, columns, checkpoints = run
+    return TrajectoryLog(
+        config=cfg,
+        eta=eta,
+        x_max=fs.x_max,
+        initial_stats=initial,
+        final_theta=final_theta,
+        selected=selected,
+        **columns,
+        snapshot_cadence=snapshot_cadence,
+        theta_checkpoints=checkpoints,
+    )
+
+
+def _loop(cfg, fs, theta, eta, selected, checkpoint_cadence):
+    """The general training loop: one _batch_stats call per iteration.
+    Returns (initial stats, final theta, the logged columns, checkpoints)."""
+    T, n = len(selected), fs.n
     objectives, grad_sq, variance = np.empty((T, n)), np.empty((T, n)), np.empty((T, n))
     eta_effective, divisor, objective_after = np.empty(T), np.empty(T), np.empty(T)
     variance_flag = np.empty(T, dtype=bool)
@@ -415,23 +466,93 @@ def run_trajectory(
                 checkpoints.append((row + 1, theta_new.copy()))
             theta = theta_new
 
-    return TrajectoryLog(
-        config=cfg,
-        eta=eta,
-        x_max=fs.x_max,
-        initial_stats=initial,
-        final_theta=theta,
-        objectives=objectives,
-        grad_sq=grad_sq,
-        variance=variance,
-        selected=selected,
-        eta_effective=eta_effective,
-        divisor=divisor,
-        variance_flag=variance_flag,
-        objective_after=objective_after,
-        snapshot_cadence=snapshot_cadence,
-        theta_checkpoints=checkpoints,
+    columns = dict(
+        objectives=objectives, grad_sq=grad_sq, variance=variance, eta_effective=eta_effective,
+        divisor=divisor, variance_flag=variance_flag, objective_after=objective_after,
     )
+    return initial, theta, columns, checkpoints
+
+
+def _coordinate_owners(fs: FeatureSet) -> Optional[np.ndarray]:
+    """The prompt whose features use each coordinate, -1 where none does, or
+    None when two prompts' features share a coordinate.  Exact: a coordinate
+    is used where some entry of its column is nonzero."""
+    support = (fs.stacked != 0).any(axis=1)
+    if (support.sum(axis=0) > 1).any():
+        return None
+    return np.where(support.any(axis=0), support.argmax(axis=0), -1)
+
+
+def _replay(cfg, fs, theta, eta, selected, owner, checkpoint_cadence):
+    """The general loop's result on an instance whose prompts use disjoint
+    coordinates, from one _batch_stats call per round of updates; None when
+    an iterate or its logits go non-finite, so the loop reports the abort.
+
+    With disjoint supports, prompt i's logits and gradient read only its own
+    coordinates (the others meet exact zeros), and its gradient is exactly
+    zero elsewhere.  So prompt i's stats after its k-th update do not depend
+    on when the other prompts were updated, and round k (k = 0 .. the largest
+    selection count) evaluates every prompt after its own k-th update at one
+    theta and applies every pending next update at once.  Each coordinate of
+    the summed update is its owner's term plus exact zeros, which equals the
+    loop's x + a in value (only the sign of a zero may differ, and a zero
+    meets only zeros on its way into a logit).  The per-iteration columns are
+    read back from the per-prompt histories by each row's selection counts.
+    """
+    T, n, d = len(selected), fs.n, fs.d
+    counts = np.bincount(selected, minlength=n)
+    rounds = int(counts.max())
+    success, grad_sq, variance = (np.empty((rounds + 1, n)) for _ in range(3))
+    eta_eff, divisor = np.empty((rounds, n)), np.ones((rounds, n))
+    clamped = np.zeros((rounds, n), dtype=bool)
+    thetas = np.empty((rounds + 1, d)) if checkpoint_cadence else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(rounds + 1):
+            try:
+                stats = _batch_stats(fs, theta)
+            except FloatingPointError:
+                return None
+            if k == 0:
+                initial = [stats.prompt(i) for i in range(n)]
+            success[k], grad_sq[k], variance[k] = stats.success, stats.grad_sq, stats.variance
+            if thetas is not None:
+                thetas[k] = theta
+            if k == rounds:
+                break
+            if cfg.algorithm == "grpo":
+                sd = np.sqrt(stats.variance)
+                divisor[k] = np.maximum(sd, cfg.eps_floor)
+                clamped[k] = sd < cfg.eps_floor
+            eta_eff[k] = eta / divisor[k]
+            update = eta_eff[k][:, None] * stats.grads
+            update[counts <= k] = 0.0
+            theta = theta + update.sum(axis=0)
+            if not np.isfinite(theta).all():
+                return None
+
+    # before[row, i]: prompt i's updates in rows 0 .. row - 1, i.e. which of
+    # its states the loop's pre-step theta of that row holds.
+    taken = selected[:, None] == np.arange(n)
+    after = taken.cumsum(axis=0)
+    before = after - taken
+    k_sel = before[np.arange(T), selected]
+    columns = dict(
+        objectives=success[before, np.arange(n)],
+        grad_sq=grad_sq[before, np.arange(n)],
+        variance=variance[before, np.arange(n)],
+        eta_effective=eta_eff[k_sel, selected],
+        divisor=divisor[k_sel, selected],
+        variance_flag=clamped[k_sel, selected],
+        objective_after=success[k_sel + 1, selected],
+    )
+    checkpoints = []
+    if checkpoint_cadence:
+        # a coordinate holds its owner's state; an unowned one never moves,
+        # so any round's value will do
+        rows = np.arange(checkpoint_cadence - 1, T, checkpoint_cadence)
+        ks = after[rows][:, np.maximum(owner, 0)]
+        checkpoints = list(zip((rows + 1).tolist(), thetas[ks, np.arange(d)]))
+    return initial, theta, columns, checkpoints
 
 
 @dataclass

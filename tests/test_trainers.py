@@ -3,12 +3,14 @@ rules against their spelled-out forms, per-step instrumentation, and the
 cumulative bound checker."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rlvrlab import trainers
 from rlvrlab.policy import FeatureSet, policy_gradient, prompt_stats
 from rlvrlab.rng import PROMPT_STREAM, SCENARIO_STREAM, stream_rng
 from rlvrlab.scenarios import difficulty_profile, orthogonal_blocks, random_features
@@ -18,6 +20,9 @@ from rlvrlab.trainers import (
     NumericalAbort,
     RelaxedConstants,
     TrainerConfig,
+    TrajectoryLog,
+    _coordinate_owners,
+    _loop_trajectory,
     _prompt_draws,
     cumulative_bound_check,
     grpo_step,
@@ -133,11 +138,10 @@ class TestSelectPrompt:
                 assert np.array_equal(_prompt_draws(seed, n, count, first_t), expected)
 
     def test_uniformity_binomial(self):
-        # 1e6 draws, each frequency within 3 sigma of 1/4
+        # 1e6 draws, each frequency within 3 sigma of 1/4; the draws equal
+        # select_prompt(7, t, 4) for t = 0 .. 1e6 - 1 (see the tests above)
         draws = 1_000_000
-        counts = np.zeros(4, dtype=int)
-        for t in range(draws):
-            counts[select_prompt(seed=7, t=t, n=4)] += 1
+        counts = np.bincount(_prompt_draws(7, 4, draws, 0), minlength=4)
         sigma = math.sqrt(draws * 0.25 * 0.75)
         assert np.all(np.abs(counts - draws * 0.25) <= 3.0 * sigma)
 
@@ -255,8 +259,9 @@ class TestRunTrajectory:
             np.testing.assert_array_equal(X0, X1)
 
     def test_decoupling_on_orthogonal_instance(self, ortho_fs):
+        # on the general loop: run_trajectory's round replay assumes this
         cfg = TrainerConfig(algorithm="reinforce", horizon=500, seed=5)
-        log = run_trajectory(cfg, ortho_fs, np.zeros(ortho_fs.d))
+        log = _loop_trajectory(cfg, ortho_fs, np.zeros(ortho_fs.d))
         for k in range(1, len(log.records)):
             before = log.records[k - 1].objectives
             after = log.records[k].objectives
@@ -513,3 +518,110 @@ def test_columnar_log_matches_per_iteration_loop(
             assert np.array_equal(rec.variance, expected["variance"][row])
         else:
             assert rec.objectives is None and rec.variance is None
+
+
+def assert_same_log(got, want):
+    """Every column byte for byte; parameters by value (the replay may give a
+    zero parameter the other sign)."""
+    for f in fields(TrajectoryLog):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "final_theta":
+            assert np.array_equal(a, b)
+        elif isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+    assert [t for t, _ in got.theta_checkpoints] == [t for t, _ in want.theta_checkpoints]
+    for (_, a), (_, b) in zip(got.theta_checkpoints, want.theta_checkpoints):
+        assert np.array_equal(a, b)
+    for a, b in zip(got.initial_stats, want.initial_stats):
+        assert a.probs.tobytes() == b.probs.tobytes() and (a.success, a.variance) == (b.success, b.variance)
+
+
+def block_instance(rng, n, K, unowned, empty_prompt):
+    """Prompts on disjoint, scattered coordinates, `unowned` coordinates no
+    prompt uses, and prompt 0 all zero if `empty_prompt`; with the owner of
+    each coordinate (-1 for none)."""
+    sizes = [0 if empty_prompt and i == 0 else int(rng.integers(1, 4)) for i in range(n)]
+    owners = rng.permutation(np.repeat(np.arange(-1, n), [unowned] + sizes))
+    features = []
+    for i in range(n):
+        X = np.zeros((K, owners.size))
+        X[:, owners == i] = rng.uniform(-1.0, 1.0, size=(K, sizes[i]))
+        features.append(X)
+    return FeatureSet(features=tuple(features), correct=rng.integers(0, K, size=n)), owners
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    algorithm=st.sampled_from(ALGORITHMS),
+    step_rule=st.sampled_from(STEP_RULES),
+    n=st.integers(1, 6),
+    K=st.integers(2, 4),
+    unowned=st.integers(0, 3),
+    empty_prompt=st.booleans(),
+    instance_seed=st.integers(0, 2**32 - 1),
+    trainer_seed=st.sampled_from([0, 1, 12345, 2**64 - 1]),
+    horizon=st.integers(1, 60),
+    checkpoint_cadence=st.sampled_from([0, 1, 4, 7]),
+    eta=st.floats(1e-3, 5.0),
+    constants=st.tuples(st.floats(0.0, 4.0), st.floats(1.0, 3.0), st.floats(1.0, 3.0)),
+    eps_floor=st.sampled_from([1e-8, 0.1, 0.45]),
+)
+def test_round_replay_matches_general_loop(
+    algorithm, step_rule, n, K, unowned, empty_prompt, instance_seed, trainer_seed, horizon,
+    checkpoint_cadence, eta, constants, eps_floor,
+):
+    rng = np.random.default_rng(instance_seed)
+    fs, owners = block_instance(rng, n, K, unowned, empty_prompt and n > 1)
+    assert np.array_equal(_coordinate_owners(fs), owners)
+    theta0 = rng.uniform(-3.0, 3.0, size=fs.d)
+    theta0[rng.uniform(size=fs.d) < 0.3] = -0.0
+    theta0[rng.uniform(size=fs.d) < 0.1] = 0.0
+    cfg = TrainerConfig(
+        algorithm=algorithm, horizon=horizon, seed=trainer_seed, step_rule=step_rule,
+        eta=eta if step_rule == "manual" else None,
+        relaxed_constants=RelaxedConstants(*constants) if step_rule == "relaxed" else None,
+        eps_floor=eps_floor,
+    )
+    with mock.patch.object(trainers, "_loop", side_effect=AssertionError("the general loop ran")):
+        got = run_trajectory(cfg, fs, theta0, checkpoint_cadence=checkpoint_cadence)
+    assert_same_log(got, _loop_trajectory(cfg, fs, theta0, checkpoint_cadence=checkpoint_cadence))
+
+
+class TestRoundReplay:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("eta", [1e308, 1e306])
+    def test_abort_reports_the_loops_iteration(self, algorithm, eta):
+        # prompt 0 is all zero, so its steps change nothing, and the first
+        # step of prompt 1 overflows (1e308) or overflows its logits (1e306):
+        # the run aborts after the iterations before prompt 1 is first drawn.
+        # Under GRPO at 1e308, eta / sd is inf, and inf * 0 aborts prompt 0's
+        # first step.
+        block = stream_rng(57, SCENARIO_STREAM).uniform(-40.0, 40.0, size=(3, 3))
+        fs = FeatureSet(features=(np.zeros((3, 6)), np.hstack([np.zeros((3, 3)), block])), correct=[0, 2])
+        theta0 = np.array([-0.0, 1.0, 0.0, 0.0, -0.0, 0.0])
+        firsts = []
+        for seed in range(6):
+            cfg = TrainerConfig(algorithm=algorithm, horizon=50, seed=seed, step_rule="manual", eta=eta)
+            with pytest.raises(NumericalAbort) as replayed:
+                run_trajectory(cfg, fs, theta0)
+            with pytest.raises(NumericalAbort) as looped:
+                _loop_trajectory(cfg, fs, theta0)
+            firsts.append(int(np.argmax(_prompt_draws(seed, 2, 50) == 1)))
+            assert replayed.value.t == looped.value.t
+            assert np.array_equal(replayed.value.theta, looped.value.theta)
+            assert np.array_equal(replayed.value.theta, theta0)
+            if not (algorithm == "grpo" and eta == 1e308):
+                assert looped.value.t == firsts[-1]
+        assert max(firsts) > 0
+
+    def test_one_shared_coordinate_runs_the_general_loop(self, ortho_fs):
+        features = [X.copy() for X in ortho_fs.features]
+        features[1][0, 0] = 1e-300  # coordinate 0 is prompt 0's
+        fs = FeatureSet(features=tuple(features), correct=ortho_fs.correct)
+        assert _coordinate_owners(ortho_fs) is not None
+        assert _coordinate_owners(fs) is None
+        cfg = TrainerConfig(algorithm="grpo", horizon=200, seed=3)
+        with mock.patch.object(trainers, "_replay", side_effect=AssertionError("replayed")):
+            got = run_trajectory(cfg, fs, np.zeros(fs.d), checkpoint_cadence=50)
+        assert_same_log(got, _loop_trajectory(cfg, fs, np.zeros(fs.d), checkpoint_cadence=50))
