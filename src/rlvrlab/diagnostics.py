@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .policy import FeatureSet, _batch_probs, batch_stats, hessian_norm
+from .policy import FeatureSet, _batch_probs, batch_stats, hessian_norms
 from .trainers import TrajectoryLog
 
 __all__ = [
@@ -330,7 +330,7 @@ def curvature_variance_correlation(
     """
     if fs.n < 3:
         raise ValueError("need at least three prompts with non-identical variances")
-    curvature = np.array([hessian_norm(fs, theta, i) for i in range(fs.n)])
+    curvature = hessian_norms(fs, [theta] * fs.n, np.arange(fs.n))
     variances = batch_stats(fs, theta).variance
     h = fisher_diag_proxy(fs, theta, B, rng)
     if np.ptp(variances) == 0.0 or np.ptp(curvature) == 0.0:
@@ -365,7 +365,9 @@ def lagged_curvature_variance(
         raise ValueError("need more checkpoints than the lag")
     rng = rng or np.random.default_rng(0)
     pairs = range(len(thetas) - lag)
-    curv = np.array([hessian_norm(fs, thetas[k], i) for k in pairs for i in range(fs.n)])
+    curv = hessian_norms(
+        fs, [thetas[k] for k in pairs for _ in range(fs.n)], np.tile(np.arange(fs.n), len(pairs))
+    )
     var = np.concatenate([batch_stats(fs, thetas[k + lag]).variance for k in pairs])
     if np.ptp(curv) == 0.0 or np.ptp(var) == 0.0:
         return math.nan, math.nan, curv.size
@@ -407,33 +409,41 @@ def lemma_bound_report(
     (2 sqrt(2) + 1) x_max^2 V, |grad| against 2 |X_i| V and x_max / 2, and the
     max |Hess| over parameters sampled uniformly in the ball of radius
     sqrt(V)/x_max against (5/2) x_max^2 sqrt(V).
+
+    The ball points are drawn prompt by prompt, and one hessian_norms call
+    then evaluates theta and every ball point of every prompt.
     """
     rng = rng or np.random.default_rng(0)
     xsq = fs.x_max**2
     stats = batch_stats(fs, theta)
+    points = []
+    for i in range(fs.n):
+        radius = math.sqrt(float(stats.variance[i])) / fs.x_max
+        points.append(theta)
+        for _ in range(ball_samples):
+            u = rng.standard_normal(fs.d)
+            # math.sqrt(u @ u) is np.linalg.norm(u) bit for bit, without its Python overhead
+            u *= radius * rng.uniform() ** (1.0 / fs.d) / math.sqrt(u @ u)
+            points.append(theta + u)
+    per_prompt = 1 + ball_samples
+    norms = hessian_norms(fs, points, np.repeat(np.arange(fs.n), per_prompt)).reshape(fs.n, per_prompt)
     rows = []
     for i in range(fs.n):
         v = float(stats.variance[i])
-        grad_norm = float(np.sqrt(stats.grad_sq[i]))
-        hess_norm = hessian_norm(fs, theta, i)
-        radius = math.sqrt(v) / fs.x_max
-        ball_max = hess_norm
-        for _ in range(ball_samples):
-            u = rng.standard_normal(fs.d)
-            u *= radius * rng.uniform() ** (1.0 / fs.d) / np.linalg.norm(u)
-            ball_max = max(ball_max, hessian_norm(fs, theta + u, i))
+        # column 0 is theta itself; max() keeps the sample loop's comparison order
+        ball = norms[i].tolist()
         rows.append(
             LemmaBoundRow(
                 prompt=i,
-                grad_norm=grad_norm,
-                hess_norm=hess_norm,
+                grad_norm=float(np.sqrt(stats.grad_sq[i])),
+                hess_norm=ball[0],
                 # xsq times the variance factor first: 4 xsq alone overflows
                 # for x_max near 1e154, and would give inf * 0 at v = 0
                 bound_hess_4v=4.0 * (xsq * v),
                 bound_hess_sharp=(2.0 * math.sqrt(2.0) + 1.0) * (xsq * v),
                 bound_grad_local=2.0 * float(fs.x_norms[i]) * v,
                 bound_grad_global=0.5 * fs.x_max,
-                ball_hess_max=ball_max,
+                ball_hess_max=max(ball),
                 bound_ball=2.5 * (xsq * math.sqrt(v)),
             )
         )

@@ -5,7 +5,8 @@ Every quantity here is closed-form: the per-prompt objective is the success
 probability of the unique correct output, so gradients and Hessians are
 small exact expressions in the softmax vector and the feature matrix.  The
 Hessian is X_i^T M X_i with a K x K inner matrix M, so its spectral norm is
-a K x K symmetric eigenproblem whatever the feature dimension d is.
+a K x K symmetric eigenproblem whatever the feature dimension d is, and any
+number of (parameter, prompt) pairs share one stacked eigensolve.
 All functions are pure; a FeatureSet is frozen after construction and safe
 to share across threads.
 """
@@ -29,6 +30,7 @@ __all__ = [
     "hessian_quadratic_form",
     "hessian_matrix",
     "hessian_norm",
+    "hessian_norms",
     "spectral_norm",
 ]
 
@@ -179,11 +181,27 @@ def _probs(fs: FeatureSet, theta: np.ndarray) -> np.ndarray:
     np.errstate(over="ignore"): this finite check reports the overflow, so
     numpy need not warn first.
     """
-    logits = np.matmul(fs.stacked, theta)
+    return _softmax_rows(np.matmul(fs.stacked, theta))
+
+
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """softmax_probs of each row of an m x K logit array, with the same
+    max/exp/sum reductions along the row."""
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")
     z = np.exp(logits - logits.max(axis=1, keepdims=True))
     return z / z.sum(axis=1, keepdims=True)
+
+
+def _reward_covariance(probs: np.ndarray, correct: np.ndarray):
+    """Row by row _covariance_times_reward: (success, variance, H r) of m
+    probability rows with correct-output indices `correct`."""
+    rows = np.arange(len(correct))
+    success = probs[rows, correct]
+    variance = success * (1.0 - success)
+    hr = -success[:, None] * probs
+    hr[rows, correct] = variance
+    return success, variance, hr
 
 
 def _batch_probs(fs: FeatureSet, theta: np.ndarray) -> np.ndarray:
@@ -197,11 +215,7 @@ def _batch_stats(fs: FeatureSet, theta: np.ndarray) -> BatchStats:
     """batch_stats at a theta the caller has checked, under the caller's
     np.errstate(over="ignore"); the training loop's per-iterate kernel."""
     probs = _probs(fs, theta)
-    rows = np.arange(fs.n)
-    success = probs[rows, fs.correct]
-    variance = success * (1.0 - success)
-    hr = -success[:, None] * probs
-    hr[rows, fs.correct] = variance
+    success, variance, hr = _reward_covariance(probs, fs.correct)
     grads = np.matmul(fs.stacked.transpose(0, 2, 1), hr[:, :, None])[:, :, 0]
     grad_sq = np.matmul(grads[:, None, :], grads[:, :, None])[:, 0, 0]
     return BatchStats(probs=probs, success=success, variance=variance, grads=grads, grad_sq=grad_sq)
@@ -300,15 +314,46 @@ def hessian_matrix(fs: FeatureSet, theta: np.ndarray, i: int) -> np.ndarray:
 
 
 def hessian_norm(fs: FeatureSet, theta: np.ndarray, i: int) -> float:
-    """Spectral norm of Hess(J_i) at theta, without forming the d x d matrix.
+    """Spectral norm of Hess(J_i) at theta: the one-pair case of hessian_norms."""
+    return float(hessian_norms(fs, [theta], [i])[0])
+
+
+def hessian_norms(fs: FeatureSet, thetas: np.ndarray, prompts) -> np.ndarray:
+    """Spectral norms of Hess(J_prompts[k]) at thetas[k] for every k, without
+    forming any d x d matrix.
 
     With the QR factorization X_i^T = Q R (Q with orthonormal columns, R of
     shape min(d, K) x K), Hess = Q (R M R^T) Q^T, so its nonzero eigenvalues
-    are those of the small symmetric matrix R M R^T.
+    are those of the small symmetric matrix R M R^T.  thetas is m x d and
+    prompts holds m indices (repeats and any order allowed).  The m pairs go
+    through stacked operations that each reproduce the one-pair computation
+    bit for bit: the softmax reductions of softmax_probs, M built elementwise
+    as diag(Hr) - (Hr) pi^T - pi (Hr)^T, one QR per distinct prompt (R does
+    not depend on theta), matmuls over the stack and one stacked eigensolve.
     """
-    inner = _hessian_inner(fs, theta, i)
-    r = np.linalg.qr(fs.features[i].T, mode="r")
-    return float(np.abs(np.linalg.eigvalsh(r @ inner @ r.T)).max())
+    prompts = np.asarray(prompts)
+    if prompts.ndim != 1 or (prompts.size and prompts.dtype.kind not in "iu"):
+        raise ValueError("prompts must be a 1-D array of prompt indices")
+    out_of_range = (prompts < 0) | (prompts >= fs.n)
+    if out_of_range.any():
+        raise IndexError(f"prompt index {prompts[out_of_range][0]} out of range [0, {fs.n})")
+    prompts = prompts.astype(np.intp, copy=False)
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.shape != (prompts.size, fs.d):
+        raise ValueError(f"thetas has shape {thetas.shape}, expected ({prompts.size}, {fs.d})")
+    if not np.isfinite(thetas).all():
+        raise ValueError("thetas contains non-finite entries")
+    with np.errstate(over="ignore"):
+        probs = _softmax_rows(np.matmul(fs.stacked[prompts], thetas[:, :, None])[:, :, 0])
+    _, _, hr = _reward_covariance(probs, fs.correct[prompts])
+    diag = np.arange(fs.K)
+    inner = np.zeros((prompts.size, fs.K, fs.K))
+    inner[:, diag, diag] = hr
+    inner = inner - hr[:, :, None] * probs[:, None, :] - probs[:, :, None] * hr[:, None, :]
+    distinct, which = np.unique(prompts, return_inverse=True)
+    r = np.linalg.qr(fs.stacked[distinct].transpose(0, 2, 1), mode="r")[which]
+    small = np.matmul(np.matmul(r, inner), r.transpose(0, 2, 1))
+    return np.abs(np.linalg.eigvalsh(small)).max(axis=1)
 
 
 def spectral_norm(m: np.ndarray, sym_tol: float = 1e-12) -> float:

@@ -190,13 +190,13 @@ def run_experiment(
         )
         cfg.echo["trainer"]["seed"] = seed_override
     formats = tuple(formats_override) if formats_override is not None else cfg.formats
-    out = _writable_out_dir(cfg, out_dir)
+    out = _writable(_resolve_out_dir(cfg, out_dir))
     fs, theta0 = build_instance(cfg)
     return _run_instance(cfg, fs, theta0, out, formats)
 
 
-def _writable_out_dir(cfg: ExperimentConfig, out_dir) -> Path:
-    out = _resolve_out_dir(cfg, out_dir)
+def _writable(out: Path) -> Path:
+    """Create an already resolved output directory and check it is writable."""
     out.mkdir(parents=True, exist_ok=True)
     if not os.access(out, os.W_OK):
         raise PermissionError(f"output directory {out} is not writable")
@@ -315,7 +315,8 @@ def run_sweep(cfg: ExperimentConfig, seeds, algorithms=("reinforce", "grpo"), ou
             sub_cfg.echo["trainer"]["algorithm"] = alg
             sub_cfg.echo["trainer"]["seed"] = seed
             sub_cfg.echo["diagnostics"]["snapshot_cadence"] = 1
-            sub_out = _writable_out_dir(sub_cfg, out / f"{alg}_seed{seed}")
+            # out is resolved already: resolving a relative root again would nest it twice
+            sub_out = _writable(out / f"{alg}_seed{seed}")
             runs[(alg, seed)] = _run_instance(sub_cfg, fs, theta0, sub_out, ("csv", "json"))
 
     table = []

@@ -36,8 +36,10 @@ from .diagnostics import (
 from .oracle import fd_gradient, fd_hessian, grid_max_f, local_smoothness_envelope
 from .policy import (
     FeatureSet,
+    batch_stats,
     hessian_matrix,
     hessian_norm,
+    hessian_norms,
     hessian_quadratic_form,
     policy_gradient,
     prompt_stats,
@@ -173,12 +175,12 @@ def c3_lemma_curvature_bound(_work: Path) -> CriterionResult:
     sharp = 2.0 * math.sqrt(2.0) + 1.0
 
     def check(fs, theta, _rng):
-        ok = True
-        for i in range(fs.n):
-            v = prompt_stats(fs, theta, i).variance
-            hn = hessian_norm(fs, theta, i)
-            ok &= _within(hn, 4.0 * fs.x_max**2 * v) and _within(hn, sharp * fs.x_max**2 * v)
-        return ok
+        variances = batch_stats(fs, theta).variance.tolist()
+        norms = hessian_norms(fs, [theta] * fs.n, np.arange(fs.n)).tolist()
+        return all(
+            _within(hn, 4.0 * fs.x_max**2 * v) and _within(hn, sharp * fs.x_max**2 * v)
+            for hn, v in zip(norms, variances)
+        )
 
     violations, samples = _lemma_sweep(103, check)
     elapsed = time.perf_counter() - t0

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rlvrlab.policy import FeatureSet
+from rlvrlab.policy import FeatureSet, _hessian_inner
 from rlvrlab.rng import SCENARIO_STREAM, stream_rng
 from rlvrlab.scenarios import orthogonal_blocks, random_features
 
@@ -41,6 +41,14 @@ def make_random_instance(rng, n_max=4, k_max=8, d_max=32, normalize=True):
         )
     theta = rng.uniform(-3.0, 3.0, size=d)
     return fs, theta
+
+
+def reference_hessian_norm(fs, theta, i):
+    """The per-call spectral norm that policy.hessian_norms reproduces bit for
+    bit: its own QR of X_i^T, the K x K inner matrix and one eigensolve."""
+    inner = _hessian_inner(fs, theta, i)
+    r = np.linalg.qr(fs.features[i].T, mode="r")
+    return float(np.abs(np.linalg.eigvalsh(r @ inner @ r.T)).max())
 
 
 def _refuse_constant(name):

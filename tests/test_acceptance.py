@@ -109,8 +109,8 @@ def test_verify_battery_detects_injected_curvature_bug(work_dir, monkeypatch):
     """
     import rlvrlab.verify as v
 
-    real_norm = v.hessian_norm
-    monkeypatch.setattr(v, "hessian_norm", lambda fs, theta, i: 3.0 * real_norm(fs, theta, i))
+    real_norms = v.hessian_norms
+    monkeypatch.setattr(v, "hessian_norms", lambda fs, thetas, prompts: 3.0 * real_norms(fs, thetas, prompts))
     assert not v.c3_lemma_curvature_bound(work_dir).passed
 
     real = v.hessian_matrix

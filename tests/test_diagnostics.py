@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlvrlab.diagnostics import (
+    LemmaBoundRow,
     _pearson,
     _permutation_test,
     assumption_report,
@@ -24,10 +25,12 @@ from rlvrlab.diagnostics import (
     scale_regularity,
 )
 from rlvrlab.oracle import enumerate_expectation
-from rlvrlab.policy import FeatureSet, prompt_stats
+from rlvrlab.policy import FeatureSet, batch_stats, prompt_stats
 from rlvrlab.rng import FISHER_STREAM, SCENARIO_STREAM, stream_rng
 from rlvrlab.scenarios import difficulty_preset, difficulty_profile, orthogonal_blocks, random_features
 from rlvrlab.trainers import TrainerConfig, run_trajectory
+
+from conftest import reference_hessian_norm
 
 
 def anti_aligned_pair() -> FeatureSet:
@@ -415,7 +418,51 @@ class TestLaggedCurvatureVariance:
             lagged_curvature_variance(fs, [theta0], lag=1)
 
 
+def reference_lemma_bound_report(fs, theta, rng, ball_samples):
+    """lemma_bound_report with one per-call Hessian norm per point, in draw order."""
+    xsq = fs.x_max**2
+    stats = batch_stats(fs, theta)
+    rows = []
+    for i in range(fs.n):
+        v = float(stats.variance[i])
+        hess_norm = reference_hessian_norm(fs, theta, i)
+        radius = math.sqrt(v) / fs.x_max
+        ball_max = hess_norm
+        for _ in range(ball_samples):
+            u = rng.standard_normal(fs.d)
+            u *= radius * rng.uniform() ** (1.0 / fs.d) / np.linalg.norm(u)
+            ball_max = max(ball_max, reference_hessian_norm(fs, theta + u, i))
+        rows.append(
+            LemmaBoundRow(
+                prompt=i,
+                grad_norm=float(np.sqrt(stats.grad_sq[i])),
+                hess_norm=hess_norm,
+                bound_hess_4v=4.0 * (xsq * v),
+                bound_hess_sharp=(2.0 * math.sqrt(2.0) + 1.0) * (xsq * v),
+                bound_grad_local=2.0 * float(fs.x_norms[i]) * v,
+                bound_grad_global=0.5 * fs.x_max,
+                ball_hess_max=ball_max,
+                bound_ball=2.5 * (xsq * math.sqrt(v)),
+            )
+        )
+    return rows
+
+
 class TestLemmaBoundReport:
+    @pytest.mark.parametrize("ball_samples", [0, 2, 16])
+    def test_rows_equal_the_per_point_reference(self, ball_samples):
+        rng = stream_rng(90, SCENARIO_STREAM)
+        for _ in range(6):
+            fs = random_features(
+                n=int(rng.integers(1, 6)), K=int(rng.integers(2, 6)), d=int(rng.choice([1, 3, 16])),
+                overlap=float(rng.uniform(0, 1)), rng=rng,
+            )
+            theta = rng.uniform(-3, 3, fs.d)
+            seed = int(rng.integers(0, 2**31))
+            rows = lemma_bound_report(fs, theta, rng=np.random.default_rng(seed), ball_samples=ball_samples)
+            want = reference_lemma_bound_report(fs, theta, np.random.default_rng(seed), ball_samples)
+            assert rows == want
+
     def test_hand_values_identity_pair(self):
         fs = FeatureSet(features=(np.eye(2),), correct=[0])
         rows = lemma_bound_report(fs, np.array([math.log(3.0), 0.0]), rng=stream_rng(84, 3))

@@ -14,6 +14,7 @@ from rlvrlab.policy import (
     grpo_gradient,
     hessian_matrix,
     hessian_norm,
+    hessian_norms,
     hessian_quadratic_form,
     policy_gradient,
     prompt_stats,
@@ -21,7 +22,7 @@ from rlvrlab.policy import (
 )
 from rlvrlab.rng import stream_rng
 
-from conftest import make_random_instance
+from conftest import make_random_instance, reference_hessian_norm
 
 
 def objective(fs, i):
@@ -315,6 +316,69 @@ class TestHessian:
                 assert hn == pytest.approx(eig_spectral_norm(H), rel=1e-10, abs=1e-300)
         if zero_prompt:
             assert hessian_norm(fs, theta, 0) == 0.0
+
+
+class TestHessianNorms:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 12),
+        K=st.integers(2, 6),
+        d=st.sampled_from([1, 2, 3, 5, 32, 128]),
+        log_scale=st.floats(-3.0, math.log10(30.0)),
+        zero_prompt=st.booleans(),
+        m=st.integers(1, 40),
+    )
+    def test_matches_per_call_reference_bit_for_bit(self, seed, n, K, d, log_scale, zero_prompt, m):
+        """Repeated, unsorted prompt indices; d < K; an all-zero prompt; m = 1."""
+        rng = stream_rng(seed, 2)
+        features = [10.0**log_scale * rng.standard_normal((K, d)) for _ in range(n)]
+        if zero_prompt:
+            features[0] = np.zeros((K, d))
+        fs = FeatureSet(features=tuple(features), correct=rng.integers(0, K, size=n))
+        prompts = rng.integers(0, n, size=m)
+        thetas = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-2.0, 1.0)
+        want = np.array([reference_hessian_norm(fs, thetas[k], int(prompts[k])) for k in range(m)])
+        assert np.array_equal(hessian_norms(fs, thetas, prompts), want)
+        assert np.array_equal(hessian_norms(fs, thetas[:1], prompts[:1]), want[:1])
+        assert hessian_norm(fs, thetas[0], int(prompts[0])) == want[0]
+
+    def test_one_qr_per_distinct_prompt(self, monkeypatch):
+        fs = FeatureSet(features=(np.eye(3), 2.0 * np.eye(3), np.ones((3, 3))), correct=[0, 1, 2])
+        calls = []
+        real_qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, mode: calls.append(a.shape) or real_qr(a, mode=mode))
+        hessian_norms(fs, np.zeros((5, 3)), [2, 0, 2, 2, 0])
+        assert calls == [(2, 3, 3)]
+
+    def test_no_pairs(self, identity_pair):
+        assert hessian_norms(identity_pair, np.zeros((0, 2)), []).shape == (0,)
+
+    def test_error_paths(self, identity_pair):
+        fs = identity_pair
+        for prompts in ([1], [0, -1]):
+            with pytest.raises(IndexError):
+                hessian_norms(fs, np.zeros((len(prompts), 2)), prompts)
+            with pytest.raises(IndexError):
+                hessian_norm(fs, np.zeros(2), prompts[-1])
+        for prompts in ([0.0], [[0]]):
+            with pytest.raises(ValueError):
+                hessian_norms(fs, np.zeros((1, 2)), prompts)
+        for thetas in (np.zeros(2), np.zeros((1, 3)), np.zeros((2, 2)), [np.zeros(2), np.zeros(3)]):
+            with pytest.raises(ValueError):
+                hessian_norms(fs, thetas, [0])
+        with pytest.raises(ValueError):
+            hessian_norm(fs, np.zeros(3), 0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                hessian_norms(fs, np.array([[0.0, bad]]), [0])
+            with pytest.raises(ValueError):
+                hessian_norm(fs, np.array([bad, 0.0]), 0)
+        huge = FeatureSet(features=(np.array([[1e300], [0.0]]), np.ones((2, 1))), correct=[0, 1])
+        with pytest.raises(FloatingPointError):
+            hessian_norms(huge, np.array([[0.0], [1e10]]), [1, 0])
+        with pytest.raises(FloatingPointError):
+            hessian_norm(huge, np.array([1e10]), 0)
 
 
 class TestSpectralNorm:

@@ -151,6 +151,17 @@ class TestSweep:
         assert sweep.summary["low_signal"] is True
         assert all(row["grpo_iters"] == 0 for row in sweep.table)
 
+    def test_relative_output_root_is_applied_once(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("RLVRLAB_OUT_ROOT", "rel")
+        monkeypatch.chdir(tmp_path)
+        cfg = small_cfg(trainer={"horizon": 20}, diagnostics={"per_prompt_columns": False})
+        sweep = run_sweep(cfg, seeds=[0, 1], algorithms=("grpo",), out_dir="sw")
+        assert sweep.out_dir == Path("rel") / "sw"
+        for seed in (0, 1):
+            assert (tmp_path / "rel" / "sw" / f"grpo_seed{seed}" / "summary.json").is_file()
+        assert (tmp_path / "rel" / "sw" / "sweep_summary.json").is_file()
+        assert not (tmp_path / "rel" / "rel").exists()
+
     def test_needs_two_seeds(self, tmp_path):
         with pytest.raises(ValueError):
             run_sweep(small_cfg(), seeds=[0], out_dir=tmp_path / "sweep")
