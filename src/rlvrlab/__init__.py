@@ -6,9 +6,7 @@ auditor for every constant the convergence analysis depends on.
 
 from .policy import (
     FeatureSet,
-    GrpoGradient,
     PromptStats,
-    grpo_gradient,
     hessian_matrix,
     hessian_quadratic_form,
     policy_gradient,

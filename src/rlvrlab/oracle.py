@@ -1,10 +1,10 @@
 """Independent brute-force reference implementations.
 
 Nothing here shares code with the closed-form routines it checks: derivatives
-come from central differences, expectations from full enumeration over the K
-outputs, and eigenvalues from a hand-rolled cyclic Jacobi sweep.  These are
-the oracles the test suite and the `verify` subcommand measure the fast paths
-against.
+come from central differences of an inline softmax objective, expectations
+from full enumeration over the K outputs, and eigenvalues from a hand-rolled
+cyclic Jacobi sweep.  These are the oracles the test suite and the `verify`
+subcommand measure the fast paths against.
 """
 
 from __future__ import annotations
@@ -74,12 +74,24 @@ def fd_hessian(f: Callable[[np.ndarray], float], theta: np.ndarray, h: float = F
     return 0.5 * (hess + hess.T)
 
 
+def _success_objective(fs, i: int) -> Callable[[np.ndarray], float]:
+    """theta -> success probability of prompt i, the scalar field the finite
+    differences differentiate."""
+    X, a = fs.features[i], fs.correct[i]
+
+    def success(th: np.ndarray) -> float:
+        z = X @ th
+        e = np.exp(z - z.max())
+        return float(e[a] / e.sum())
+
+    return success
+
+
 def enumerate_expectation(fs, theta: np.ndarray, i: int, g: Callable[[int], float]) -> float:
     """Exact expectation sum_j pi_j g(j) over the K outputs of prompt i."""
-    from .policy import prompt_stats
-
-    probs = prompt_stats(fs, theta, i).probs
-    return float(sum(p * g(j) for j, p in enumerate(probs)))
+    z = fs.features[i] @ np.asarray(theta, dtype=np.float64)
+    e = np.exp(z - z.max())
+    return float(sum(p * g(j) for j, p in enumerate(e / e.sum())))
 
 
 def eig_spectral_norm(m: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> float:

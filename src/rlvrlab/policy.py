@@ -22,11 +22,9 @@ __all__ = [
     "FeatureSet",
     "PromptStats",
     "BatchStats",
-    "GrpoGradient",
     "batch_stats",
     "prompt_stats",
     "policy_gradient",
-    "grpo_gradient",
     "hessian_quadratic_form",
     "hessian_matrix",
     "hessian_norm",
@@ -134,13 +132,6 @@ class BatchStats(NamedTuple):
         )
 
 
-class GrpoGradient(NamedTuple):
-    """(vector, clamped) pair; clamped marks that the variance floor fired."""
-
-    vector: np.ndarray
-    clamped: bool
-
-
 def _check_theta(theta: np.ndarray, d: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (d,):
@@ -148,30 +139,6 @@ def _check_theta(theta: np.ndarray, d: int) -> np.ndarray:
     if not np.isfinite(theta).all():
         raise ValueError("theta contains non-finite entries")
     return theta
-
-
-def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    """Stabilized softmax: the max logit is subtracted before exponentiation."""
-    if not np.isfinite(logits).all():
-        raise FloatingPointError("non-finite logits")
-    z = np.exp(logits - logits.max())
-    return z / z.sum()
-
-
-def prompt_stats(fs: FeatureSet, theta: np.ndarray, i: int) -> PromptStats:
-    """Probability vector, success probability, reward variance and objective
-    for prompt i at theta."""
-    if not 0 <= i < fs.n:
-        raise IndexError(f"prompt index {i} out of range [0, {fs.n})")
-    theta = _check_theta(theta, fs.d)
-    probs = softmax_probs(fs.features[i] @ theta)
-    success = float(probs[fs.correct[i]])
-    return PromptStats(
-        probs=probs,
-        success=success,
-        variance=success * (1.0 - success),
-        objective=success,
-    )
 
 
 def _probs(fs: FeatureSet, theta: np.ndarray) -> np.ndarray:
@@ -185,8 +152,8 @@ def _probs(fs: FeatureSet, theta: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """softmax_probs of each row of an m x K logit array, with the same
-    max/exp/sum reductions along the row."""
+    """Stabilized softmax of each row of an m x K logit array: the row's max
+    logit is subtracted before exponentiation."""
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")
     z = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -194,8 +161,10 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def _reward_covariance(probs: np.ndarray, correct: np.ndarray):
-    """Row by row _covariance_times_reward: (success, variance, H r) of m
-    probability rows with correct-output indices `correct`."""
+    """(success, variance, H r) of m probability rows with correct-output
+    indices `correct`, where H(pi) = diag(pi) - pi pi^T and r is one-hot at
+    the correct output: H r is success*(1-success) there and -success*pi_j
+    elsewhere."""
     rows = np.arange(len(correct))
     success = probs[rows, correct]
     variance = success * (1.0 - success)
@@ -223,9 +192,10 @@ def _batch_stats(fs: FeatureSet, theta: np.ndarray) -> BatchStats:
 
 def batch_stats(fs: FeatureSet, theta: np.ndarray) -> BatchStats:
     """prompt_stats, policy_gradient and the squared gradient norm g @ g of
-    every prompt at theta, in stacked form.
+    every prompt at theta, in stacked form; the per-prompt functions are its
+    one-row case.
 
-    Each stacked operation is one that reproduces the per-prompt functions
+    Each stacked operation is one that reproduces the one-vector computation
     bit for bit: matmul over the stack for the logits and for X_i^T (H r),
     max/exp/sum softmax reductions along the output axis, and a stacked
     (1 x d) @ (d x 1) matmul for the squared norms (einsum and (g * g).sum()
@@ -236,15 +206,31 @@ def batch_stats(fs: FeatureSet, theta: np.ndarray) -> BatchStats:
         return _batch_stats(fs, theta)
 
 
-def _covariance_times_reward(probs: np.ndarray, a: int) -> np.ndarray:
-    """H(pi) r for the one-hot reward at index a, where H(pi) = diag(pi) - pi pi^T.
+def _prompt_row(fs: FeatureSet, theta: np.ndarray, i: int):
+    """Prompt i at theta as the one-row case of the stacked kernel: the 1 x K
+    probabilities of _softmax_rows and the (success, variance, H r) rows of
+    _reward_covariance.  Raises FloatingPointError when the logits overflow."""
+    if not 0 <= i < fs.n:
+        raise IndexError(f"prompt index {i} out of range [0, {fs.n})")
+    theta = _check_theta(theta, fs.d)
+    with np.errstate(over="ignore"):
+        probs = _softmax_rows(np.matmul(fs.stacked[i : i + 1], theta))
+    return (probs, *_reward_covariance(probs, fs.correct[i : i + 1]))
 
-    Componentwise: success*(1-success) at a, -success*pi_j elsewhere.
-    """
-    success = probs[a]
-    hr = -success * probs
-    hr[a] = success * (1.0 - success)
-    return hr
+
+def prompt_stats(fs: FeatureSet, theta: np.ndarray, i: int) -> PromptStats:
+    """Probability vector, success probability, reward variance and objective
+    for prompt i at theta."""
+    probs, success, variance, _ = _prompt_row(fs, theta, i)
+    success = float(success[0])
+    return PromptStats(probs=probs[0], success=success, variance=float(variance[0]), objective=success)
+
+
+def _prompt_gradient(fs: FeatureSet, theta: np.ndarray, i: int) -> tuple[float, np.ndarray]:
+    """(reward variance, policy_gradient) of prompt i at theta from one
+    _prompt_row call."""
+    _, _, variance, hr = _prompt_row(fs, theta, i)
+    return float(variance[0]), fs.features[i].T @ hr[0]
 
 
 def policy_gradient(fs: FeatureSet, theta: np.ndarray, i: int) -> np.ndarray:
@@ -254,27 +240,7 @@ def policy_gradient(fs: FeatureSet, theta: np.ndarray, i: int) -> np.ndarray:
     of the correct output minus the probability-weighted features of the
     wrong ones.
     """
-    stats = prompt_stats(fs, theta, i)
-    hr = _covariance_times_reward(stats.probs, fs.correct[i])
-    return fs.features[i].T @ hr
-
-
-def grpo_gradient(
-    fs: FeatureSet, theta: np.ndarray, i: int, eps_floor: float = DEFAULT_EPS_FLOOR
-) -> GrpoGradient:
-    """Variance-normalized gradient: policy_gradient / sqrt(reward variance).
-
-    The divisor is clamped at eps_floor (and the result flagged) when the
-    reward variance degenerates; since the raw gradient norm is bounded by
-    2*X_max*variance the clamped update still vanishes as variance -> 0.
-    """
-    if eps_floor <= 0:
-        raise ValueError("eps_floor must be positive")
-    stats = prompt_stats(fs, theta, i)
-    hr = _covariance_times_reward(stats.probs, fs.correct[i])
-    grad = fs.features[i].T @ hr
-    sd = np.sqrt(stats.variance)
-    return GrpoGradient(grad / max(sd, eps_floor), bool(sd < eps_floor))
+    return _prompt_gradient(fs, theta, i)[1]
 
 
 def hessian_quadratic_form(fs: FeatureSet, theta: np.ndarray, i: int, y: np.ndarray) -> float:
@@ -288,17 +254,19 @@ def hessian_quadratic_form(fs: FeatureSet, theta: np.ndarray, i: int, y: np.ndar
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (fs.d,):
         raise ValueError(f"y has shape {y.shape}, expected ({fs.d},)")
-    stats = prompt_stats(fs, theta, i)
-    hr = _covariance_times_reward(stats.probs, fs.correct[i])
+    probs, _, _, hr = _prompt_row(fs, theta, i)
     u = fs.features[i] @ y
-    return float(hr @ (u * u) - 2.0 * (hr @ u) * (stats.probs @ u))
+    return float(hr[0] @ (u * u) - 2.0 * (hr[0] @ u) * (probs[0] @ u))
 
 
-def _hessian_inner(fs: FeatureSet, theta: np.ndarray, i: int) -> np.ndarray:
-    """M = diag(Hr) - (Hr) pi^T - pi (Hr)^T, the K x K factor of Hess(J_i) = X_i^T M X_i."""
-    stats = prompt_stats(fs, theta, i)
-    hr = _covariance_times_reward(stats.probs, fs.correct[i])
-    return np.diag(hr) - np.outer(hr, stats.probs) - np.outer(stats.probs, hr)
+def _hessian_inners(probs: np.ndarray, hr: np.ndarray) -> np.ndarray:
+    """M = diag(Hr) - (Hr) pi^T - pi (Hr)^T of each of m (probs, H r) rows:
+    the m x K x K factors of Hess(J_i) = X_i^T M X_i."""
+    m, K = probs.shape
+    diag = np.arange(K)
+    inner = np.zeros((m, K, K))
+    inner[:, diag, diag] = hr
+    return inner - hr[:, :, None] * probs[:, None, :] - probs[:, :, None] * hr[:, None, :]
 
 
 def hessian_matrix(fs: FeatureSet, theta: np.ndarray, i: int) -> np.ndarray:
@@ -308,9 +276,9 @@ def hessian_matrix(fs: FeatureSet, theta: np.ndarray, i: int) -> np.ndarray:
     X^T [diag(Hr) - (Hr) pi^T - pi (Hr)^T] X, which is symmetric by
     construction.
     """
-    inner = _hessian_inner(fs, theta, i)
+    probs, _, _, hr = _prompt_row(fs, theta, i)
     X = fs.features[i]
-    return X.T @ inner @ X
+    return X.T @ _hessian_inners(probs, hr)[0] @ X
 
 
 def hessian_norm(fs: FeatureSet, theta: np.ndarray, i: int) -> float:
@@ -327,9 +295,9 @@ def hessian_norms(fs: FeatureSet, thetas: np.ndarray, prompts) -> np.ndarray:
     are those of the small symmetric matrix R M R^T.  thetas is m x d and
     prompts holds m indices (repeats and any order allowed).  The m pairs go
     through stacked operations that each reproduce the one-pair computation
-    bit for bit: the softmax reductions of softmax_probs, M built elementwise
-    as diag(Hr) - (Hr) pi^T - pi (Hr)^T, one QR per distinct prompt (R does
-    not depend on theta), matmuls over the stack and one stacked eigensolve.
+    bit for bit: the row softmax of _softmax_rows, M from _hessian_inners,
+    one QR per distinct prompt (R does not depend on theta), matmuls over
+    the stack and one stacked eigensolve.
     """
     prompts = np.asarray(prompts)
     if prompts.ndim != 1 or (prompts.size and prompts.dtype.kind not in "iu"):
@@ -345,11 +313,7 @@ def hessian_norms(fs: FeatureSet, thetas: np.ndarray, prompts) -> np.ndarray:
         raise ValueError("thetas contains non-finite entries")
     with np.errstate(over="ignore"):
         probs = _softmax_rows(np.matmul(fs.stacked[prompts], thetas[:, :, None])[:, :, 0])
-    _, _, hr = _reward_covariance(probs, fs.correct[prompts])
-    diag = np.arange(fs.K)
-    inner = np.zeros((prompts.size, fs.K, fs.K))
-    inner[:, diag, diag] = hr
-    inner = inner - hr[:, :, None] * probs[:, None, :] - probs[:, :, None] * hr[:, None, :]
+    inner = _hessian_inners(probs, _reward_covariance(probs, fs.correct[prompts])[2])
     distinct, which = np.unique(prompts, return_inverse=True)
     r = np.linalg.qr(fs.stacked[distinct].transpose(0, 2, 1), mode="r")[which]
     small = np.matmul(np.matmul(r, inner), r.transpose(0, 2, 1))

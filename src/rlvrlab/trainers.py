@@ -21,8 +21,8 @@ from .policy import (
     FeatureSet,
     PromptStats,
     _batch_stats,
+    _prompt_gradient,
     policy_gradient,
-    prompt_stats,
 )
 from .rng import PROMPT_STREAM, _counter, _key, stream_rng
 
@@ -321,6 +321,8 @@ def _step(
 
     The divisor is 1 for REINFORCE and the reward std sqrt(variance), clamped
     below at eps_floor, for GRPO; REINFORCE ignores variance and eps_floor.
+    The gradient norm is at most 2 x_max variance, so the clamped step still
+    vanishes as the variance does.
     Returns (new theta, eta / divisor, divisor, whether the clamp fired).
     """
     if algorithm == "reinforce":
@@ -347,8 +349,8 @@ def grpo_step(
         raise ValueError("eta must be positive")
     if eps_floor <= 0:
         raise ValueError("eps_floor must be positive")
-    variance = prompt_stats(fs, theta, i).variance
-    return _step("grpo", theta, policy_gradient(fs, theta, i), eta, variance, eps_floor)[0]
+    variance, grad = _prompt_gradient(fs, theta, i)
+    return _step("grpo", theta, grad, eta, variance, eps_floor)[0]
 
 
 def run_trajectory(

@@ -33,7 +33,7 @@ from .diagnostics import (
     pairwise_grad_cosines,
     _permutation_test,
 )
-from .oracle import fd_gradient, fd_hessian, grid_max_f, local_smoothness_envelope
+from .oracle import _success_objective, fd_gradient, fd_hessian, grid_max_f, local_smoothness_envelope
 from .policy import (
     FeatureSet,
     batch_stats,
@@ -112,7 +112,7 @@ def c1_gradient_oracle(_work: Path) -> CriterionResult:
         fs, theta = _normalized_instance(rng)
         for i in range(fs.n):
             g = policy_gradient(fs, theta, i)
-            gf = fd_gradient(lambda th: prompt_stats(fs, th, i).objective, theta)
+            gf = fd_gradient(_success_objective(fs, i), theta)
             rel = float(np.abs(g - gf).max() / max(np.abs(g).max(), 1e-12))
             worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
@@ -136,7 +136,7 @@ def c2_hessian_consistency(_work: Path) -> CriterionResult:
                 q_mat = float(y @ H @ y)
                 q_form = hessian_quadratic_form(fs, theta, i, y)
                 worst_quad = max(worst_quad, abs(q_mat - q_form) / max(1.0, abs(q_form)))
-            H_fd = fd_hessian(lambda th: prompt_stats(fs, th, i).objective, theta)
+            H_fd = fd_hessian(_success_objective(fs, i), theta)
             worst_fd = max(worst_fd, float(np.abs(H - H_fd).max()))
     elapsed = time.perf_counter() - t0
     return CriterionResult(
@@ -195,12 +195,12 @@ def c4_lipschitz_bound(_work: Path) -> CriterionResult:
     t0 = time.perf_counter()
 
     def check(fs, theta, _rng):
-        ok = True
-        for i in range(fs.n):
-            v = prompt_stats(fs, theta, i).variance
-            gn = float(np.linalg.norm(policy_gradient(fs, theta, i)))
-            ok &= _within(gn, 0.5 * fs.x_max) and _within(gn, 2.0 * float(fs.x_norms[i]) * v)
-        return ok
+        stats = batch_stats(fs, theta)
+        norms = np.sqrt(stats.grad_sq).tolist()
+        return all(
+            _within(gn, 0.5 * fs.x_max) and _within(gn, 2.0 * x_norm * v)
+            for gn, x_norm, v in zip(norms, fs.x_norms.tolist(), stats.variance.tolist())
+        )
 
     violations, samples = _lemma_sweep(104, check)
     elapsed = time.perf_counter() - t0

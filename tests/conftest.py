@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rlvrlab.policy import FeatureSet, _hessian_inner
+from rlvrlab.policy import FeatureSet
 from rlvrlab.rng import SCENARIO_STREAM, stream_rng
 from rlvrlab.scenarios import orthogonal_blocks, random_features
 
@@ -43,10 +43,40 @@ def make_random_instance(rng, n_max=4, k_max=8, d_max=32, normalize=True):
     return fs, theta
 
 
+def reference_stats(fs, theta, i):
+    """The per-prompt computation that policy's stacked kernel reproduces bit
+    for bit: (probs, success, variance, H r, gradient) of prompt i at theta,
+    from a one-vector softmax and H(pi) r = diag(pi) r - pi pi^T r for the
+    one-hot reward at the correct output a."""
+    logits = fs.features[i] @ theta
+    if not np.isfinite(logits).all():
+        raise FloatingPointError("non-finite logits")
+    z = np.exp(logits - logits.max())
+    probs = z / z.sum()
+    a = fs.correct[i]
+    success = float(probs[a])
+    hr = -probs[a] * probs
+    hr[a] = probs[a] * (1.0 - probs[a])
+    return probs, success, success * (1.0 - success), hr, fs.features[i].T @ hr
+
+
+def reference_hessian_inner(fs, theta, i):
+    """M = diag(Hr) - (Hr) pi^T - pi (Hr)^T, the K x K factor of Hess(J_i) = X_i^T M X_i."""
+    probs, _, _, hr, _ = reference_stats(fs, theta, i)
+    return np.diag(hr) - np.outer(hr, probs) - np.outer(probs, hr)
+
+
+def reference_quadratic_form(fs, theta, i, y):
+    """y^T Hess(J_i) y as (H r)^T (X y . X y) - 2 (H r)^T (X y) (pi^T X y)."""
+    probs, _, _, hr, _ = reference_stats(fs, theta, i)
+    u = fs.features[i] @ y
+    return float(hr @ (u * u) - 2.0 * (hr @ u) * (probs @ u))
+
+
 def reference_hessian_norm(fs, theta, i):
     """The per-call spectral norm that policy.hessian_norms reproduces bit for
     bit: its own QR of X_i^T, the K x K inner matrix and one eigensolve."""
-    inner = _hessian_inner(fs, theta, i)
+    inner = reference_hessian_inner(fs, theta, i)
     r = np.linalg.qr(fs.features[i].T, mode="r")
     return float(np.abs(np.linalg.eigvalsh(r @ inner @ r.T)).max())
 

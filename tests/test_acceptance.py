@@ -11,9 +11,10 @@ variants holding everywhere and the sum-form holding on the pre-saturation
 prefix; the stated form is asserted as written and expected to fail.
 """
 
+import numpy as np
 import pytest
 
-from rlvrlab import verify
+from rlvrlab import policy, verify
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +117,17 @@ def test_verify_battery_detects_injected_curvature_bug(work_dir, monkeypatch):
     real = v.hessian_matrix
     monkeypatch.setattr(v, "hessian_matrix", lambda fs, theta, i: -real(fs, theta, i))
     assert not v.c2_hessian_consistency(work_dir).passed
+
+
+def test_gradient_oracle_detects_corrupted_softmax(work_dir, monkeypatch):
+    """Mutation sanity: a fixed per-output offset on the logits of the
+    policy's softmax must trip criterion 1.
+
+    The finite differences read the oracle's own softmax.  Were they to read
+    the policy's, the corrupted gradient would stay consistent with the
+    corrupted objective and the check would pass.
+    """
+    real = policy._softmax_rows
+    monkeypatch.setattr(policy, "_softmax_rows", lambda logits: real(logits + 0.5 * np.arange(logits.shape[1])))
+    r = verify.c1_gradient_oracle(work_dir)
+    assert not r.passed, r.detail

@@ -2,12 +2,16 @@
 stencils, enumeration identities, the Jacobi eigensolve, and the scalar
 curvature envelope."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rlvrlab import oracle
 from rlvrlab.oracle import (
+    _success_objective,
     eig_spectral_norm,
     enumerate_expectation,
     fd_gradient,
@@ -35,7 +39,7 @@ class TestFdGradient:
         np.testing.assert_allclose(fd_gradient(lambda th: 3.5, np.zeros(4)), 0.0)
 
     def test_objective_gradient(self, identity_pair, theta_ln3):
-        g = fd_gradient(lambda th: prompt_stats(identity_pair, th, 0).objective, theta_ln3)
+        g = fd_gradient(_success_objective(identity_pair, 0), theta_ln3)
         np.testing.assert_allclose(g, [0.1875, -0.1875], atol=1e-6)
 
     def test_rejects_bad_step(self):
@@ -62,7 +66,7 @@ class TestFdHessian:
             np.testing.assert_allclose(hess, 2.0 * A, atol=1e-8)
 
     def test_objective_hessian(self, identity_pair, theta_ln3):
-        f = lambda th: prompt_stats(identity_pair, th, 0).objective
+        f = _success_objective(identity_pair, 0)
         expected = -0.09375 * np.array([[1.0, -1.0], [-1.0, 1.0]])
         np.testing.assert_allclose(fd_hessian(f, theta_ln3), expected, atol=1e-5)
         np.testing.assert_allclose(fd_hessian(f, np.zeros(2)), 0.0, atol=1e-6)
@@ -73,10 +77,22 @@ class TestFdHessian:
         np.testing.assert_allclose(hess, hess.T, atol=0.0)
 
 
+def test_oracle_imports_nothing_from_the_package():
+    """The references share no code with the fast paths they check: no
+    relative or rlvrlab import anywhere in the module, function bodies included."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not node.module.startswith("rlvrlab"), ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("rlvrlab") for alias in node.names), ast.dump(node)
+
+
 class TestEnumerateExpectation:
     def test_reward_expectation_equals_objective(self, identity_pair, theta_ln3):
         val = enumerate_expectation(identity_pair, theta_ln3, 0, lambda j: float(j == 0))
         assert val == pytest.approx(prompt_stats(identity_pair, theta_ln3, 0).objective, abs=1e-15)
+        assert val == pytest.approx(_success_objective(identity_pair, 0)(theta_ln3), abs=1e-15)
 
     def test_normalization(self, identity_pair, theta_ln3):
         assert enumerate_expectation(identity_pair, theta_ln3, 0, lambda j: 1.0) == pytest.approx(1.0, abs=1e-15)

@@ -2,16 +2,18 @@
 finite differences, and the curvature/gradient bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rlvrlab.oracle import _success_objective as objective
 from rlvrlab.oracle import eig_spectral_norm, fd_gradient, fd_hessian
 from rlvrlab.policy import (
+    DEFAULT_EPS_FLOOR,
     FeatureSet,
     batch_stats,
-    grpo_gradient,
     hessian_matrix,
     hessian_norm,
     hessian_norms,
@@ -21,12 +23,24 @@ from rlvrlab.policy import (
     spectral_norm,
 )
 from rlvrlab.rng import stream_rng
+from rlvrlab.trainers import _step, grpo_step
 
-from conftest import make_random_instance, reference_hessian_norm
+from conftest import (
+    make_random_instance,
+    reference_hessian_inner,
+    reference_hessian_norm,
+    reference_quadratic_form,
+    reference_stats,
+)
 
-
-def objective(fs, i):
-    return lambda theta: prompt_stats(fs, theta, i).objective
+# The per-prompt functions as f(fs, theta, i) -> array: prompt_stats gives its
+# probabilities and hessian_quadratic_form takes y = ones(d).
+ONE_ROW = (
+    lambda fs, theta, i: prompt_stats(fs, theta, i).probs,
+    policy_gradient,
+    hessian_matrix,
+    lambda fs, theta, i: hessian_quadratic_form(fs, theta, i, np.ones(fs.d)),
+)
 
 
 class TestFeatureSet:
@@ -71,7 +85,8 @@ class TestFeatureSet:
 
 
 class TestBatchStats:
-    """The stacked kernel against the per-prompt reference, bit for bit."""
+    """The stacked kernel and its one-row cases against the per-prompt
+    reference, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -88,26 +103,34 @@ class TestBatchStats:
             correct=rng.integers(0, K, size=n),
         )
         theta = rng.standard_normal(d) * 10.0**log_scale
+        y = rng.standard_normal(d)
         b = batch_stats(fs, theta)
         for i in range(n):
-            s = prompt_stats(fs, theta, i)
-            g = policy_gradient(fs, theta, i)
-            assert np.array_equal(b.probs[i], s.probs)
-            assert b.success[i] == s.success and b.variance[i] == s.variance
+            probs, success, variance, _, g = reference_stats(fs, theta, i)
+            assert np.array_equal(b.probs[i], probs)
+            assert b.success[i] == success and b.variance[i] == variance
             assert np.array_equal(b.grads[i], g)
             assert b.grad_sq[i] == float(g @ g)
-            p = b.prompt(i)
-            assert np.array_equal(p.probs, s.probs)
-            assert (p.success, p.variance, p.objective) == (s.success, s.variance, s.objective)
+            for s in (b.prompt(i), prompt_stats(fs, theta, i)):
+                assert np.array_equal(s.probs, probs)
+                assert (s.success, s.variance, s.objective) == (success, variance, success)
+            assert np.array_equal(policy_gradient(fs, theta, i), g)
+            X = fs.features[i]
+            assert np.array_equal(hessian_matrix(fs, theta, i), X.T @ reference_hessian_inner(fs, theta, i) @ X)
+            assert hessian_quadratic_form(fs, theta, i, y) == reference_quadratic_form(fs, theta, i, y)
 
     def test_rejects_overflowing_logits_and_bad_theta(self, identity_pair):
         huge = FeatureSet(features=(np.array([[1e300], [0.0]]),), correct=[0])
-        with pytest.raises(FloatingPointError):
-            batch_stats(huge, np.array([1e10]))
-        with pytest.raises(ValueError):
-            batch_stats(identity_pair, np.array([np.nan, 0.0]))
-        with pytest.raises(ValueError):
-            batch_stats(identity_pair, np.zeros(3))
+        for f in (lambda fs, theta, i: batch_stats(fs, theta),) + ONE_ROW:
+            # the finite check reports the overflow; numpy must not warn first
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FloatingPointError):
+                    f(huge, np.array([1e10]), 0)
+            with pytest.raises(ValueError):
+                f(identity_pair, np.array([np.nan, 0.0]), 0)
+            with pytest.raises(ValueError):
+                f(identity_pair, np.zeros(3), 0)
 
 
 class TestPromptStats:
@@ -135,9 +158,15 @@ class TestPromptStats:
         assert s.success == 1.0
         assert s.variance == 0.0
 
-    def test_index_out_of_range(self, identity_pair):
-        with pytest.raises(IndexError):
-            prompt_stats(identity_pair, np.zeros(2), 1)
+    def test_index_out_of_range(self, ortho_instance):
+        fs = ortho_instance
+        theta = np.linspace(-1.0, 1.0, fs.d)
+        for f in ONE_ROW:
+            # -1 must not wrap round: stacked[-1:0] would be an empty row
+            for i in (-1, fs.n, fs.n + 5, -fs.n):
+                with pytest.raises(IndexError):
+                    f(fs, theta, i)
+            assert np.array_equal(f(fs, theta, np.int64(fs.n - 1)), f(fs, theta, fs.n - 1))
 
     def test_nonfinite_theta_rejected(self, identity_pair):
         with pytest.raises(ValueError):
@@ -215,27 +244,39 @@ class TestPolicyGradient:
 
 
 class TestGrpoGradient:
+    """The variance-normalized gradient that grpo_step ascends, and the clamp
+    flag of trainers._step."""
+
+    @staticmethod
+    def normalized(fs, theta, i, eps_floor=DEFAULT_EPS_FLOOR):
+        """(grpo_step's direction at eta = 1, whether _step's clamp fired)."""
+        grad = policy_gradient(fs, theta, i)
+        variance = prompt_stats(fs, theta, i).variance
+        _, eta_eff, _, clamped = _step("grpo", theta, grad, 1.0, variance, eps_floor)
+        assert np.array_equal(grpo_step(theta, fs, i, 1.0, eps_floor), theta + eta_eff * grad)
+        return eta_eff * grad, clamped
+
     def test_doubles_gradient_at_uniform(self, identity_pair):
-        g = grpo_gradient(identity_pair, np.zeros(2), 0)
-        np.testing.assert_allclose(g.vector, [0.5, -0.5])
-        assert not g.clamped
+        vector, clamped = self.normalized(identity_pair, np.zeros(2), 0)
+        np.testing.assert_allclose(vector, [0.5, -0.5])
+        assert not clamped
 
     def test_normalized_value_at_ln3(self, identity_pair, theta_ln3):
-        g = grpo_gradient(identity_pair, theta_ln3, 0)
-        np.testing.assert_allclose(g.vector, [0.4330, -0.4330], atol=1e-4)
+        vector, _ = self.normalized(identity_pair, theta_ln3, 0)
+        np.testing.assert_allclose(vector, [0.4330, -0.4330], atol=1e-4)
 
     def test_degenerate_variance_clamps_and_flags(self, identity_pair):
         theta = np.array([60.0, 0.0])
-        g = grpo_gradient(identity_pair, theta, 0, eps_floor=1e-8)
-        assert g.clamped
+        vector, clamped = self.normalized(identity_pair, theta, 0, eps_floor=1e-8)
+        assert clamped
         raw = policy_gradient(identity_pair, theta, 0)
-        np.testing.assert_allclose(g.vector, raw / 1e-8)
+        np.testing.assert_allclose(vector, raw / 1e-8)
         # The variance rounds to 0 here while the gradient is tiny-nonzero;
         # the 2 x_max V bound must be evaluated without the 1 - success
         # cancellation to stay meaningful.
         probs = prompt_stats(identity_pair, theta, 0).probs
         v_exact = probs[0] * probs[1:].sum()
-        assert np.linalg.norm(g.vector) <= 2.0 * identity_pair.x_max * v_exact / 1e-8 * (1 + 1e-12)
+        assert np.linalg.norm(vector) <= 2.0 * identity_pair.x_max * v_exact / 1e-8 * (1 + 1e-12)
 
     def test_positive_multiple_of_gradient(self):
         rng = stream_rng(5, 2)
@@ -245,14 +286,15 @@ class TestGrpoGradient:
                 raw = policy_gradient(fs, theta, i)
                 if np.linalg.norm(raw) == 0.0:
                     continue
-                g = grpo_gradient(fs, theta, i)
-                scale = np.linalg.norm(g.vector) / np.linalg.norm(raw)
+                vector, _ = self.normalized(fs, theta, i)
+                scale = np.linalg.norm(vector) / np.linalg.norm(raw)
                 assert scale > 0
-                np.testing.assert_allclose(g.vector, scale * raw, rtol=1e-12)
+                np.testing.assert_allclose(vector, scale * raw, rtol=1e-12)
 
     def test_eps_floor_must_be_positive(self, identity_pair):
-        with pytest.raises(ValueError):
-            grpo_gradient(identity_pair, np.zeros(2), 0, eps_floor=0.0)
+        for eps_floor in (0.0, -1e-8):
+            with pytest.raises(ValueError):
+                grpo_step(np.zeros(2), identity_pair, 0, 1.0, eps_floor=eps_floor)
 
 
 class TestHessian:
@@ -287,8 +329,9 @@ class TestHessian:
                 )
 
     def test_dimension_mismatch(self, identity_pair):
-        with pytest.raises(ValueError):
-            hessian_quadratic_form(identity_pair, np.zeros(2), 0, np.zeros(3))
+        for y in (np.zeros(3), np.zeros(1), np.zeros((2, 1)), np.zeros((1, 2)), 0.0):
+            with pytest.raises(ValueError):
+                hessian_quadratic_form(identity_pair, np.zeros(2), 0, y)
 
     @settings(max_examples=150, deadline=None)
     @given(
