@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlvrlab.oracle import _success_objective as objective
-from rlvrlab.oracle import eig_spectral_norm, fd_gradient, fd_hessian
+from rlvrlab.oracle import _success_objective as objective, eig_spectral_norm, fd_gradient, fd_hessian
 from rlvrlab.policy import (
     DEFAULT_EPS_FLOOR,
     FeatureSet,
