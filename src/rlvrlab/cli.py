@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, build_instance, parse_config
+from .config import FORMATS, ConfigError, build_instance, parse_config
 from .instancefile import InstanceFormatError, load_instance
-from .runner import _jsonable, diagnose_report, run_experiment, run_sweep
+from .runner import _jsonable, _resolve_out_dir, diagnose_report, run_experiment, run_sweep
 from .scenarios import DIFFICULTY_TARGETS, difficulty_profile
 from .trainers import NumericalAbort
 from .verify import run_all
@@ -71,7 +70,7 @@ def _cmd_run(args) -> int:
     formats = tuple(args.format.split(",")) if args.format else None
     if formats:
         for fmt in formats:
-            if fmt not in ("csv", "json", "svg"):
+            if fmt not in FORMATS:
                 raise ConfigError(f"--format: unknown format {fmt!r}")
     try:
         result = run_experiment(cfg, out_dir=args.out, seed_override=args.seed, formats_override=formats)
@@ -149,7 +148,7 @@ def _cmd_diagnose(args) -> int:
     except ValueError:
         raise FloatingPointError("a diagnosis value overflows double range") from None
     if args.out:
-        out = Path(args.out)
+        out = _resolve_out_dir(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "diagnosis.json").write_text(text + "\n", encoding="ascii")
         print(out / "diagnosis.json")
@@ -166,7 +165,9 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_all(args.out)
+    # absolute, so that the runs inside verify do not apply a relative root again
+    out = _resolve_out_dir(args.out).absolute()
+    results = run_all(out)
     width = max(len(r.name) for r in results)
     for r in results:
         limit = f" (limit {r.limit_s:.0f}s)" if r.limit_s else ""
@@ -184,7 +185,6 @@ def _cmd_verify(args) -> int:
         }
         for r in results
     ]
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "verify_report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="ascii")
     n_pass = sum(r.passed for r in results)

@@ -9,10 +9,11 @@ all of them so a run is fully described by its summary.
 
 from __future__ import annotations
 
+import copy
 import difflib
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -75,7 +76,7 @@ def _get(block: dict, key: str, kind, path: str, default=_REQUIRED):
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     scenario_generator: str
     scenario_params: dict
@@ -88,7 +89,36 @@ class ExperimentConfig:
     per_prompt_columns: bool
     output_dir: str
     formats: tuple[str, ...]
-    echo: dict = field(repr=False, default_factory=dict)
+
+    @property
+    def echo(self) -> dict:
+        """The effective config as a fresh dict in the input's block layout."""
+        tr = self.trainer
+        constants = tr.relaxed_constants
+        return {
+            "scenario": {
+                "generator": self.scenario_generator,
+                "params": copy.deepcopy(self.scenario_params),
+                "seed": self.scenario_seed,
+                "theta0": copy.deepcopy(self.theta0_spec),
+            },
+            "trainer": {
+                "algorithm": tr.algorithm,
+                "step_rule": tr.step_rule,
+                "eta": tr.eta,
+                "horizon": tr.horizon,
+                "seed": tr.seed,
+                "eps_floor": tr.eps_floor,
+                "relaxed_constants": None if constants is None else dict(constants._asdict()),
+            },
+            "diagnostics": {
+                "snapshot_cadence": self.snapshot_cadence,
+                "phase_cadence": self.phase_cadence,
+                "threshold": self.threshold,
+                "per_prompt_columns": self.per_prompt_columns,
+            },
+            "output": {"dir": self.output_dir, "formats": list(self.formats)},
+        }
 
     @property
     def content_hash(self) -> str:
@@ -181,25 +211,6 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         if fmt not in FORMATS:
             _fail("output.formats", f"unknown format {fmt!r} (valid: {', '.join(FORMATS)})")
 
-    echo = {
-        "scenario": {"generator": generator, "params": params, "seed": sc_seed, "theta0": theta0},
-        "trainer": {
-            "algorithm": algorithm,
-            "step_rule": step_rule,
-            "eta": eta,
-            "horizon": horizon,
-            "seed": tr_seed,
-            "eps_floor": eps_floor,
-            "relaxed_constants": None if constants is None else dict(constants._asdict()),
-        },
-        "diagnostics": {
-            "snapshot_cadence": cadence,
-            "phase_cadence": phase_cadence,
-            "threshold": threshold,
-            "per_prompt_columns": per_prompt,
-        },
-        "output": {"dir": out_dir, "formats": list(formats)},
-    }
     return ExperimentConfig(
         scenario_generator=generator,
         scenario_params=dict(params),
@@ -212,7 +223,6 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         per_prompt_columns=per_prompt,
         output_dir=out_dir,
         formats=tuple(formats),
-        echo=echo,
     )
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "ScaleReport",
     "FisherReport",
     "LemmaBoundRow",
-    "AssumptionReport",
     "pairwise_grad_cosines",
     "m_bound",
     "scale_regularity",
@@ -36,7 +35,6 @@ __all__ = [
     "curvature_variance_correlation",
     "lagged_curvature_variance",
     "lemma_bound_report",
-    "assumption_report",
 ]
 
 PHASE_THRESHOLDS = (0.055, 0.10)
@@ -448,60 +446,3 @@ def lemma_bound_report(
             )
         )
     return rows
-
-
-@dataclass
-class AssumptionReport:
-    """Everything the relaxed analysis asks of an instance, measured."""
-
-    cos_mean: float
-    cos_std: float
-    frac_abs_below_0p1: float
-    frac_positive: float
-    m_status: str
-    m_hat: float
-    r1_hat: float
-    r2_hat: float
-    phase: str
-    c_of_t: Optional[float] = None
-    n_pairs: int = 0
-    n_excluded: int = 0
-    m_violations: list[tuple[int, int]] = field(default_factory=list)
-    m_worst_pair: Optional[tuple[int, int]] = None
-    scale_degenerate: bool = False
-
-
-def assumption_report(
-    fs: FeatureSet,
-    theta: np.ndarray,
-    log: Optional[TrajectoryLog] = None,
-    phase_thresholds: tuple[float, float] = PHASE_THRESHOLDS,
-) -> AssumptionReport:
-    """Assemble the full assumption audit at a parameter vector.
-
-    The realized C(T) needs a finished trajectory and stays None without one.
-    """
-    cosines = pairwise_grad_cosines(fs, theta)
-    mb = m_bound(fs, theta)
-    scales = scale_regularity(fs, theta)
-    c_of_t = None
-    if log is not None:
-        _, c_of_t = c_constant(log)
-    phase = phase_classify(cosines.std, phase_thresholds) if not cosines.empty else "I"
-    return AssumptionReport(
-        cos_mean=cosines.mean,
-        cos_std=cosines.std,
-        frac_abs_below_0p1=cosines.frac_abs_below_0p1,
-        frac_positive=cosines.frac_positive,
-        m_status=mb.status,
-        m_hat=mb.m_hat,
-        r1_hat=scales.r1_hat,
-        r2_hat=scales.r2_hat,
-        phase=phase,
-        c_of_t=c_of_t,
-        n_pairs=cosines.n_pairs,
-        n_excluded=cosines.n_excluded,
-        m_violations=mb.violations,
-        m_worst_pair=mb.worst_pair,
-        scale_degenerate=scales.degenerate,
-    )

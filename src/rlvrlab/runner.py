@@ -19,14 +19,23 @@ import numpy as np
 
 from .config import ExperimentConfig, build_instance
 from .diagnostics import (
-    assumption_report,
+    c_constant,
     lemma_bound_report,
+    m_bound,
     pairwise_grad_cosines,
     phase_classify,
+    scale_regularity,
 )
 from .policy import FeatureSet, batch_stats
 from .svgplot import line_plot
-from .trainers import BoundReport, NumericalAbort, TrajectoryLog, cumulative_bound_check, run_trajectory
+from .trainers import (
+    ALGORITHMS,
+    BoundReport,
+    NumericalAbort,
+    TrajectoryLog,
+    cumulative_bound_check,
+    run_trajectory,
+)
 
 __all__ = [
     "RunResult",
@@ -49,8 +58,9 @@ def output_root() -> Path:
     return Path(os.environ.get(ENV_OUT_ROOT, "."))
 
 
-def _resolve_out_dir(cfg: ExperimentConfig, override) -> Path:
-    out = Path(override) if override is not None else Path(cfg.output_dir)
+def _resolve_out_dir(out) -> Path:
+    """An output directory, with a relative one placed under output_root()."""
+    out = Path(out)
     if not out.is_absolute():
         out = output_root() / out
     return out
@@ -183,14 +193,9 @@ def run_experiment(
     abort.json in the output directory and the NumericalAbort re-raised.
     """
     if seed_override is not None:
-        # replace() is shallow: the echo dict is copied so that the caller's
-        # config keeps its own seed and content hash
-        cfg = replace(
-            cfg, trainer=replace(cfg.trainer, seed=seed_override), echo=json.loads(json.dumps(cfg.echo))
-        )
-        cfg.echo["trainer"]["seed"] = seed_override
+        cfg = replace(cfg, trainer=replace(cfg.trainer, seed=seed_override))
     formats = tuple(formats_override) if formats_override is not None else cfg.formats
-    out = _writable(_resolve_out_dir(cfg, out_dir))
+    out = _writable(_resolve_out_dir(cfg.output_dir if out_dir is None else out_dir))
     fs, theta0 = build_instance(cfg)
     return _run_instance(cfg, fs, theta0, out, formats)
 
@@ -283,7 +288,7 @@ class SweepResult:
     artifacts: list[Path]
 
 
-def run_sweep(cfg: ExperimentConfig, seeds, algorithms=("reinforce", "grpo"), out_dir=None) -> SweepResult:
+def run_sweep(cfg: ExperimentConfig, seeds, algorithms=ALGORITHMS, out_dir=None) -> SweepResult:
     """Cross product of seeds x algorithms with a paired comparison table.
 
     Reports per-algorithm median iterations-to-threshold, realized C(T) at
@@ -296,9 +301,9 @@ def run_sweep(cfg: ExperimentConfig, seeds, algorithms=("reinforce", "grpo"), ou
     if len(seeds) < 2:
         raise ValueError("sweep needs at least two seeds")
     for alg in algorithms:
-        if alg not in ("reinforce", "grpo"):
+        if alg not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {alg!r}")
-    out = _resolve_out_dir(cfg, out_dir)
+    out = _resolve_out_dir(cfg.output_dir if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     # the sub-configs differ only in trainer and snapshot cadence
@@ -311,10 +316,6 @@ def run_sweep(cfg: ExperimentConfig, seeds, algorithms=("reinforce", "grpo"), ou
                 trainer=replace(cfg.trainer, algorithm=alg, seed=seed),
                 snapshot_cadence=1,
             )
-            sub_cfg.echo = json.loads(json.dumps(cfg.echo))
-            sub_cfg.echo["trainer"]["algorithm"] = alg
-            sub_cfg.echo["trainer"]["seed"] = seed
-            sub_cfg.echo["diagnostics"]["snapshot_cadence"] = 1
             # out is resolved already: resolving a relative root again would nest it twice
             sub_out = _writable(out / f"{alg}_seed{seed}")
             runs[(alg, seed)] = _run_instance(sub_cfg, fs, theta0, sub_out, ("csv", "json"))
@@ -390,40 +391,32 @@ def run_sweep(cfg: ExperimentConfig, seeds, algorithms=("reinforce", "grpo"), ou
 
 
 def diagnose_report(fs: FeatureSet, theta: np.ndarray, log: Optional[TrajectoryLog] = None) -> dict:
-    """Full assumption audit plus the per-prompt lemma-bound slack table."""
-    report = assumption_report(fs, theta, log=log)
+    """Full assumption audit plus the per-prompt lemma-bound slack table.
+
+    The realized C(T) needs a finished trajectory and stays None without one.
+    """
+    cosines = pairwise_grad_cosines(fs, theta)
+    mb = m_bound(fs, theta)
+    scales = scale_regularity(fs, theta)
+    c_of_t = None if log is None else c_constant(log)[1]
     rows = lemma_bound_report(fs, theta)
     return {
         "assumptions": {
-            "cos_mean": report.cos_mean,
-            "cos_std": report.cos_std,
-            "frac_abs_below_0p1": report.frac_abs_below_0p1,
-            "frac_positive": report.frac_positive,
-            "n_pairs": report.n_pairs,
-            "n_excluded": report.n_excluded,
-            "m_status": report.m_status,
-            "m_hat": report.m_hat,
-            "m_worst_pair": list(report.m_worst_pair) if report.m_worst_pair else None,
-            "m_violations": [list(v) for v in report.m_violations],
-            "r1_hat": report.r1_hat if math.isfinite(report.r1_hat) else None,
-            "r2_hat": report.r2_hat if math.isfinite(report.r2_hat) else None,
-            "scale_degenerate": report.scale_degenerate,
-            "phase": report.phase,
-            "c_of_t": report.c_of_t,
+            "cos_mean": cosines.mean,
+            "cos_std": cosines.std,
+            "frac_abs_below_0p1": cosines.frac_abs_below_0p1,
+            "frac_positive": cosines.frac_positive,
+            "n_pairs": cosines.n_pairs,
+            "n_excluded": cosines.n_excluded,
+            "m_status": mb.status,
+            "m_hat": mb.m_hat,
+            "m_worst_pair": list(mb.worst_pair) if mb.worst_pair else None,
+            "m_violations": [list(v) for v in mb.violations],
+            "r1_hat": scales.r1_hat if math.isfinite(scales.r1_hat) else None,
+            "r2_hat": scales.r2_hat if math.isfinite(scales.r2_hat) else None,
+            "scale_degenerate": scales.degenerate,
+            "phase": "I" if cosines.empty else phase_classify(cosines.std),
+            "c_of_t": c_of_t,
         },
-        "lemma_bounds": [
-            {
-                "prompt": row.prompt,
-                "grad_norm": row.grad_norm,
-                "hess_norm": row.hess_norm,
-                "bound_hess_4v": row.bound_hess_4v,
-                "bound_hess_sharp": row.bound_hess_sharp,
-                "bound_grad_local": row.bound_grad_local,
-                "bound_grad_global": row.bound_grad_global,
-                "ball_hess_max": row.ball_hess_max,
-                "bound_ball": row.bound_ball,
-                "min_slack": row.min_slack,
-            }
-            for row in rows
-        ],
+        "lemma_bounds": [{**vars(row), "min_slack": row.min_slack} for row in rows],
     }

@@ -2,7 +2,8 @@
 
 `diagnose` reads generated instance files (feature magnitudes from 1e-300 to
 1e300, bad headers, truncated rows) and theta files; `run` reads generated
-configs with horizons up to 50.  Every call must return 0, 2, 3, 4 or 5.
+configs with horizons up to 50, and `sweep` reads the same configs with
+generated seed and algorithm lists.  Every call must return 0, 2, 3, 4 or 5.
 """
 
 import json
@@ -115,3 +116,34 @@ def test_run_generated_configs_end_in_an_exit_code(data):
         config = tmp / "config.json"
         config.write_text(json.dumps(data.draw(configs(tmp))))
         assert main(["run", "--config", str(config), "--out", str(tmp / "out")]) in EXIT_CODES
+
+
+# "--seeds -1,2" reads as an option, so argparse itself rejects it with exit 2.
+seed_lists = st.one_of(
+    st.lists(st.integers(0, 2**32), min_size=2, max_size=3).map(lambda seeds: ",".join(map(str, seeds))),
+    st.integers(0, 9).map(lambda seed: f"{seed},{seed}"),
+    st.integers(0, 9).map(str),
+    st.sampled_from(["", ",", " , "]),
+    st.sampled_from(["a,b", "1.5,2", "0,x", "0x1,2"]),
+    st.sampled_from(["-1,2", "3,-4"]),
+)
+algorithm_lists = st.lists(st.sampled_from(["reinforce", "grpo", "ppo"]), min_size=1, max_size=3).map(",".join)
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_sweep_generated_inputs_end_in_an_exit_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = tmp / "config.json"
+        config.write_text(json.dumps(data.draw(configs(tmp))))
+        argv = ["sweep", "--config", str(config), "--seeds", data.draw(seed_lists),
+                "--algorithms", data.draw(algorithm_lists), "--out", str(tmp / "out")]
+        assert _exit_code(argv) in EXIT_CODES

@@ -1,6 +1,7 @@
 """Strict config parsing: defaults echoed, unknown keys named with a nearest
 match, type and range validation with field paths."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -160,3 +161,63 @@ def test_content_hash_stable_and_sensitive():
     changed = json.loads(json.dumps(MINIMAL))
     changed["trainer"]["seed"] = 3
     assert parse_config_dict(changed).content_hash != cfg1.content_hash
+
+
+# Configs that between them set every key, with the content hash each one had
+# when the echo was still a stored dict: a boolean seed, ints where floats are
+# expected, a cadence above the horizon, reordered formats, theta0 values and
+# targets, and relaxed constants.
+PINNED = {
+    "minimal": (MINIMAL, "af2b1442c61d0edc563d8bab9c1927984df4e24fce65417c4ef65f0d1b0963ab"),
+    "instance_file_manual": (
+        {
+            "scenario": {"generator": "instance_file", "params": {"path": "instances/tiny.txt"}, "seed": True,
+                         "theta0": {"kind": "values", "values": [1, -0.5, 2.0]}},
+            "trainer": {"algorithm": "reinforce", "horizon": 10, "seed": False, "step_rule": "manual",
+                        "eta": 3, "eps_floor": 1},
+            "diagnostics": {"snapshot_cadence": 50, "phase_cadence": 4, "threshold": 1, "per_prompt_columns": True},
+            "output": {"dir": "out/a", "formats": ["svg", "csv"]},
+        },
+        "1b0909015fdc537cfc723567ea8fc926887d65b2bbaf46ac171626d4aa953942",
+    ),
+    "relaxed_profile": (
+        {
+            "scenario": {"generator": "random_features", "params": {"n": 3, "K": 4, "d": 5, "overlap": 0.25},
+                         "seed": 7, "theta0": {"kind": "difficulty_profile", "targets": [0.2, 0.5, 0.8]}},
+            "trainer": {"algorithm": "grpo", "horizon": 300, "seed": 11, "step_rule": "relaxed", "eta": 0.5,
+                        "eps_floor": 1e-6, "relaxed_constants": {"m": 0, "r1": 2, "r2": 1.5}},
+            "diagnostics": {"snapshot_cadence": 7, "threshold": 0.75},
+            "output": {"formats": ["json", "svg", "csv"]},
+        },
+        "5c8457fd6a0eef6c886953a1499cccc4ebe0c2646985f3a79c7f5fd0ca54094c",
+    ),
+    "preset_zeros": (
+        {
+            "scenario": {"generator": "difficulty_preset", "params": {}, "theta0": {"kind": "zeros"}},
+            "trainer": {"algorithm": "reinforce", "horizon": 1, "seed": 0},
+            "diagnostics": {"snapshot_cadence": 1, "phase_cadence": 0, "per_prompt_columns": False},
+            "output": {"dir": "runs", "formats": []},
+        },
+        "436a4b4d6b303113ad547c42216a1c10e992657c1c22fda8950de5c002e6e1c3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_content_hash_pinned(name):
+    raw, digest = PINNED[name]
+    assert parse_config_dict(json.loads(json.dumps(raw))).content_hash == digest
+
+
+def test_config_is_frozen_and_echo_is_a_fresh_copy():
+    cfg = parse_config_dict(json.loads(json.dumps(PINNED["instance_file_manual"][0])))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.output_dir = "elsewhere"
+    echo = cfg.echo
+    echo["scenario"]["params"]["path"] = "other.txt"
+    echo["scenario"]["theta0"]["values"].append(9.0)
+    echo["trainer"]["seed"] = 99
+    echo["output"]["formats"].append("json")
+    assert cfg.content_hash == PINNED["instance_file_manual"][1]
+    assert cfg.scenario_params == {"path": "instances/tiny.txt"}
+    assert cfg.theta0_spec["values"] == [1, -0.5, 2.0]

@@ -12,7 +12,6 @@ from rlvrlab.diagnostics import (
     LemmaBoundRow,
     _pearson,
     _permutation_test,
-    assumption_report,
     c_constant,
     curvature_variance_correlation,
     exact_fisher_diag,
@@ -27,6 +26,7 @@ from rlvrlab.diagnostics import (
 from rlvrlab.oracle import enumerate_expectation
 from rlvrlab.policy import FeatureSet, batch_stats, prompt_stats
 from rlvrlab.rng import FISHER_STREAM, SCENARIO_STREAM, stream_rng
+from rlvrlab.runner import diagnose_report
 from rlvrlab.scenarios import difficulty_preset, difficulty_profile, orthogonal_blocks, random_features
 from rlvrlab.trainers import TrainerConfig, run_trajectory
 
@@ -510,15 +510,15 @@ class TestLemmaBoundReport:
 
 class TestAssumptionReport:
     def test_orthogonal_instance_summary(self, ortho_fs):
-        rep = assumption_report(ortho_fs, np.full(ortho_fs.d, 0.1))
-        assert rep.m_status == "vacuous"
-        assert rep.phase == "I"
-        assert rep.cos_mean == pytest.approx(0.0, abs=1e-10)
-        assert rep.c_of_t is None
+        rep = diagnose_report(ortho_fs, np.full(ortho_fs.d, 0.1))["assumptions"]
+        assert rep["m_status"] == "vacuous"
+        assert rep["phase"] == "I"
+        assert rep["cos_mean"] == pytest.approx(0.0, abs=1e-10)
+        assert rep["c_of_t"] is None
 
     def test_c_of_t_populated_with_log(self, ortho_fs):
         cfg = TrainerConfig(algorithm="grpo", horizon=50, seed=0)
         log = run_trajectory(cfg, ortho_fs, np.zeros(ortho_fs.d))
-        rep = assumption_report(ortho_fs, np.zeros(ortho_fs.d), log=log)
-        assert rep.c_of_t is not None
-        assert 0.0 <= rep.c_of_t <= 4.0 / 3.0 + 1e-12
+        rep = diagnose_report(ortho_fs, np.zeros(ortho_fs.d), log=log)["assumptions"]
+        assert rep["c_of_t"] is not None
+        assert 0.0 <= rep["c_of_t"] <= 4.0 / 3.0 + 1e-12

@@ -162,6 +162,22 @@ class TestSweep:
         assert (tmp_path / "rel" / "sw" / "sweep_summary.json").is_file()
         assert not (tmp_path / "rel" / "rel").exists()
 
+    def test_sweep_leaves_caller_config_unchanged(self, tmp_path):
+        cfg = small_cfg(trainer={"horizon": 20}, diagnostics={"snapshot_cadence": 5, "per_prompt_columns": False})
+        echo, content_hash, trainer = cfg.echo, cfg.content_hash, cfg.trainer
+        sweep = run_sweep(cfg, seeds=[0, 1], algorithms=("reinforce",), out_dir=tmp_path / "sweep")
+        assert cfg.echo == echo
+        assert cfg.content_hash == content_hash
+        assert cfg.trainer == trainer
+        # each run echoes the caller's config with its own algorithm and seed, at cadence 1
+        ran = small_cfg(
+            trainer={"horizon": 20, "algorithm": "reinforce", "seed": 1},
+            diagnostics={"snapshot_cadence": 1, "per_prompt_columns": False},
+        )
+        summary = json.loads((sweep.out_dir / "reinforce_seed1" / "summary.json").read_text())
+        assert summary["config"] == ran.echo
+        assert summary["config_hash"] == ran.content_hash
+
     def test_needs_two_seeds(self, tmp_path):
         with pytest.raises(ValueError):
             run_sweep(small_cfg(), seeds=[0], out_dir=tmp_path / "sweep")
@@ -361,6 +377,28 @@ class TestCli:
         cfg = self.write_config(tmp_path)
         assert main(["run", "--config", str(cfg)]) == 0
         assert (tmp_path / "root" / "golden" / "summary.json").exists()
+
+    def test_diagnose_out_under_output_root(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("RLVRLAB_OUT_ROOT", "rel")
+        monkeypatch.chdir(tmp_path)
+        fs = orthogonal_blocks(n=2, K=2, block_dim=2, scale=1.0, rng=stream_rng(61, SCENARIO_STREAM))
+        save_instance(fs, tmp_path / "inst.txt")
+        assert main(["diagnose", "--instance", "inst.txt", "--out", "d"]) == 0
+        assert (tmp_path / "rel" / "d" / "diagnosis.json").is_file()
+        assert not (tmp_path / "d").exists()
+
+    def test_verify_out_under_output_root_once(self, tmp_path, monkeypatch):
+        import rlvrlab.verify as verify
+
+        monkeypatch.setattr(verify, "CRITERIA", [verify.c13_reproducibility])
+        monkeypatch.setenv("RLVRLAB_OUT_ROOT", "rel")
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--out", "v"]) == 0
+        work = tmp_path / "rel" / "v"
+        assert (work / "verify_report.json").is_file()
+        assert (work / "c13_a" / "summary.json").is_file()
+        assert not (tmp_path / "v").exists()
+        assert not (tmp_path / "rel" / "rel").exists()
 
     def test_verify_exit_codes(self, tmp_path, monkeypatch, capsys):
         import rlvrlab.cli as cli
