@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="seed x algorithm cross product with comparison table")
     sweep_p.add_argument("--config", required=True)
-    sweep_p.add_argument("--seeds", required=True, help="comma-separated trainer seeds (>= 2)")
+    sweep_p.add_argument("--seeds", required=True, help="comma-separated distinct trainer seeds (>= 2)")
     sweep_p.add_argument("--algorithms", default="reinforce,grpo")
     sweep_p.add_argument("--out", default=None)
 

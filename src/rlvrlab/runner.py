@@ -295,14 +295,23 @@ def run_sweep(cfg: ExperimentConfig, seeds, algorithms=ALGORITHMS, out_dir=None)
     each run's threshold time, and (when both algorithms run) the fraction of
     paired seeds where GRPO reaches the threshold strictly first.  The
     near-solved regime where both medians are tiny is flagged low-signal.
+    Seeds and algorithms must be distinct, with at least two seeds and one
+    algorithm; anything else raises ValueError.
     """
     seeds = list(seeds)
     algorithms = list(algorithms)
     if len(seeds) < 2:
         raise ValueError("sweep needs at least two seeds")
+    if not algorithms:
+        raise ValueError("sweep needs at least one algorithm")
     for alg in algorithms:
         if alg not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {alg!r}")
+    # each (algorithm, seed) run owns one directory and one table cell
+    for what, values in (("seed", seeds), ("algorithm", algorithms)):
+        for k, value in enumerate(values):
+            if value in values[:k]:
+                raise ValueError(f"sweep {what} {value!r} is repeated")
     out = _resolve_out_dir(cfg.output_dir if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

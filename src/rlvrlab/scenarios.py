@@ -8,8 +8,9 @@ pins each prompt's starting success probability to a requested difficulty.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.optimize import brentq
 
 from .policy import FeatureSet, prompt_stats
 from .rng import SCENARIO_STREAM, stream_rng
@@ -96,8 +97,80 @@ def _is_block_orthogonal(fs: FeatureSet) -> bool:
     return True
 
 
+_BRENTQ_ITERATIONS = 100
+
+
+def _ieee_div(a: float, b: float) -> float:
+    """a / b as C computes it: a zero divisor gives +-inf or nan, not ZeroDivisionError."""
+    if b == 0.0:
+        return math.nan if a == 0.0 or math.isnan(a) else math.copysign(math.inf, a) * math.copysign(1.0, b)
+    return a / b
+
+
+def _brentq(f, xa, xb, xtol, rtol):
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's Zeros/brentq.c behind
+    scipy.optimize.brentq, so it returns the same float: the same bracket
+    swap, interpolation and extrapolation steps, acceptance test and minimum
+    step of delta = (xtol + rtol*|xcur|)/2.  A NaN function value raises
+    scipy's ValueError, and so does a bracket whose ends share a sign; no
+    convergence within _BRENTQ_ITERATIONS steps raises RuntimeError.
+    """
+
+    def fx(x):
+        value = float(f(x))
+        if math.isnan(value):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return value
+
+    xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENTQ_ITERATIONS):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = _ieee_div(-fcur * (xcur - xpre), fcur - fpre)
+            else:  # extrapolate
+                dpre = _ieee_div(fpre - fcur, xpre - xcur)
+                dblk = _ieee_div(fblk - fcur, xblk - xcur)
+                stry = _ieee_div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENTQ_ITERATIONS} iterations.")
+
+
 # On huge-scale instances the steering norm and X @ direction overflow and the
-# bracket's softmax meets inf - inf; brentq's NaN check and the residual check
+# bracket's softmax meets inf - inf; _brentq's NaN check and the residual check
 # refuse those targets, so numpy need not warn first.
 @np.errstate(over="ignore", invalid="ignore")
 def difficulty_profile(fs: FeatureSet, targets) -> np.ndarray:
@@ -144,7 +217,7 @@ def difficulty_profile(fs: FeatureSet, targets) -> np.ndarray:
         if gap(lo) > 0.0 or gap(hi) < 0.0:
             failures.append((i, f"target {targets[i]} not bracketed"))
             continue
-        c = brentq(gap, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        c = _brentq(gap, lo, hi, xtol=1e-14, rtol=8.9e-16)
         if abs(success_at(c) - targets[i]) > 1e-9:
             failures.append((i, f"root-finder residual {abs(success_at(c) - targets[i]):.3e}"))
             continue

@@ -3,7 +3,8 @@
 `diagnose` reads generated instance files (feature magnitudes from 1e-300 to
 1e300, bad headers, truncated rows) and theta files; `run` reads generated
 configs with horizons up to 50, and `sweep` reads the same configs with
-generated seed and algorithm lists.  Every call must return 0, 2, 3, 4 or 5.
+generated seed and algorithm lists.  Every call must return 0, 2, 3, 4 or 5,
+and a sweep that repeats a seed or an algorithm, or names no algorithm, 2.
 """
 
 import json
@@ -127,7 +128,20 @@ seed_lists = st.one_of(
     st.sampled_from(["a,b", "1.5,2", "0,x", "0x1,2"]),
     st.sampled_from(["-1,2", "3,-4"]),
 )
-algorithm_lists = st.lists(st.sampled_from(["reinforce", "grpo", "ppo"]), min_size=1, max_size=3).map(",".join)
+algorithm_lists = st.one_of(
+    st.lists(st.sampled_from(["reinforce", "grpo", "ppo"]), min_size=1, max_size=3).map(",".join),
+    st.sampled_from([",", " , "]),
+)
+
+
+def _repeats_a_run(seeds: str, algorithms: str) -> bool:
+    """A sweep is a set of runs: a repeated seed or algorithm, or no algorithm, is a config error."""
+    try:
+        seed_values = [int(s) for s in seeds.split(",") if s.strip() != ""]
+    except ValueError:
+        seed_values = []
+    names = [a.strip() for a in algorithms.split(",") if a.strip()]
+    return not names or len(set(seed_values)) < len(seed_values) or len(set(names)) < len(names)
 
 
 def _exit_code(argv) -> int:
@@ -144,6 +158,10 @@ def test_sweep_generated_inputs_end_in_an_exit_code(data):
         tmp = Path(tmp)
         config = tmp / "config.json"
         config.write_text(json.dumps(data.draw(configs(tmp))))
-        argv = ["sweep", "--config", str(config), "--seeds", data.draw(seed_lists),
-                "--algorithms", data.draw(algorithm_lists), "--out", str(tmp / "out")]
-        assert _exit_code(argv) in EXIT_CODES
+        seeds, algorithms = data.draw(seed_lists), data.draw(algorithm_lists)
+        argv = ["sweep", "--config", str(config), "--seeds", seeds,
+                "--algorithms", algorithms, "--out", str(tmp / "out")]
+        code = _exit_code(argv)
+        assert code in EXIT_CODES
+        if _repeats_a_run(seeds, algorithms):
+            assert code == 2

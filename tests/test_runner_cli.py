@@ -182,6 +182,20 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_sweep(small_cfg(), seeds=[0], out_dir=tmp_path / "sweep")
 
+    @pytest.mark.parametrize(
+        "seeds, algorithms, message",
+        [
+            ([2, 2], ("grpo",), "sweep seed 2 is repeated"),
+            ([0, 1, 0], ("reinforce", "grpo"), "sweep seed 0 is repeated"),
+            ([0, 1], ("grpo", "reinforce", "grpo"), "sweep algorithm 'grpo' is repeated"),
+            ([0, 1], (), "sweep needs at least one algorithm"),
+        ],
+    )
+    def test_a_sweep_is_a_set_of_runs(self, tmp_path, seeds, algorithms, message):
+        with pytest.raises(ValueError, match=message):
+            run_sweep(small_cfg(), seeds=seeds, algorithms=algorithms, out_dir=tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
+
 
 class TestDiagnoseReport:
     def test_orthogonal_instance(self):

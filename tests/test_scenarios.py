@@ -1,9 +1,13 @@
 """Instance constructors: exact block orthogonality, the overlap knob, and
 difficulty targeting."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from rlvrlab import scenarios
 from rlvrlab.diagnostics import pairwise_grad_cosines
 from rlvrlab.policy import FeatureSet, policy_gradient, prompt_stats
 from rlvrlab.rng import SCENARIO_STREAM, stream_rng
@@ -173,3 +177,110 @@ class TestDifficultyPreset:
         for i in range(1, fs.n):
             np.testing.assert_array_equal(fs.features[i][:, 4 * i : 4 * (i + 1)], first)
         assert np.all(fs.correct == 0)
+
+
+@pytest.fixture(scope="module")
+def scipy_brentq():
+    """scipy's brentq, the oracle for the in-package port (scipy is test-only)."""
+    return pytest.importorskip("scipy.optimize").brentq
+
+
+def _outcome(solver, f, a, b, xtol, rtol):
+    """The root with its sign, or the exception's type and message."""
+    try:
+        root = solver(f, a, b, xtol=xtol, rtol=rtol)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return root, math.copysign(1.0, root)
+
+
+@st.composite
+def difficulty_gaps(draw):
+    """A success-probability gap along a steering direction, as difficulty_profile
+    builds it, with the bracket it finds by doubling (-1, 1)."""
+    K = draw(st.integers(2, 6))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rates = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=K, max_size=K)))
+    a = draw(st.integers(0, K - 1))
+    target = draw(st.floats(1e-3, 1.0 - 1e-3))
+
+    def gap(c):
+        z = np.exp(c * rates - np.max(c * rates))
+        return z[a] / z.sum() - target
+
+    lo, hi = -1.0, 1.0
+    while gap(lo) > 0.0 and lo > -scenarios._BRACKET_LIMIT:
+        lo *= 2.0
+    while gap(hi) < 0.0 and hi < scenarios._BRACKET_LIMIT:
+        hi *= 2.0
+    return gap, lo, hi
+
+
+def _smooth(r, c1, c3, s, weight):
+    """weight * (c1 u + c3 u^3 + s sin 3u) with u = x - r."""
+
+    def f(x):
+        u = x - r
+        return weight * (c1 * u + c3 * u**3 + s * math.sin(3.0 * u))
+
+    return f
+
+
+# Roots and bracket ends include both zeros; weights down to 1e-300 make the
+# extrapolation's denominator underflow to 0, where C gives inf and Python raises.
+signed_zeros = st.sampled_from([0.0, -0.0])
+smooth_functions = st.builds(
+    _smooth,
+    r=st.one_of(signed_zeros, st.floats(-5.0, 5.0)),
+    c1=st.floats(-3.0, 3.0),
+    c3=st.floats(-3.0, 3.0),
+    s=st.floats(-3.0, 3.0),
+    weight=st.integers(-300, 300).map(lambda e: 10.0**e),
+)
+bracket_ends = st.one_of(signed_zeros, st.floats(-10.0, 10.0))
+
+
+class TestBrentq:
+    """scenarios._brentq against scipy.optimize.brentq, compared by ==."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=difficulty_gaps())
+    def test_difficulty_gaps_match_scipy(self, scipy_brentq, problem):
+        gap, lo, hi = problem
+        args = (gap, lo, hi, 1e-14, 8.9e-16)
+        assert _outcome(scenarios._brentq, *args) == _outcome(scipy_brentq, *args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        f=smooth_functions,
+        a=bracket_ends,
+        b=bracket_ends,
+        xtol=st.floats(-15.0, -1.0).map(lambda e: 10.0**e),
+        rtol=st.floats(0.0, 6.0).map(lambda e: 4.0 * np.finfo(float).eps * 10.0**e),
+    )
+    @example(f=_smooth(0.4, 1.0, 1.0, 0.3, 1e-200), a=-3.0, b=3.0, xtol=1e-12, rtol=8.9e-16)
+    @example(f=_smooth(-0.0, 1.0, 0.0, 0.0, 1.0), a=-0.0, b=1.0, xtol=1e-12, rtol=8.9e-16)
+    @example(f=_smooth(0.0, 2.0, 0.5, 0.0, 1.0), a=-1.0, b=1.0, xtol=1e-12, rtol=8.9e-16)
+    def test_smooth_functions_match_scipy(self, scipy_brentq, f, a, b, xtol, rtol):
+        args = (f, a, b, xtol, rtol)
+        assert _outcome(scenarios._brentq, *args) == _outcome(scipy_brentq, *args)
+
+    def test_nan_value_raises_scipys_error(self, scipy_brentq):
+        def f(x):
+            return x - 0.3 if x < 0.5 else math.nan
+
+        args = (f, 0.0, 1.0, 1e-12, 1e-15)
+        ours = _outcome(scenarios._brentq, *args)
+        assert ours == _outcome(scipy_brentq, *args)
+        assert ours == (ValueError, "The function value at x=1.0 is NaN; solver cannot continue.")
+
+    def test_nonconvergence_raises_scipys_error(self, scipy_brentq, monkeypatch):
+        def f(x):
+            return math.exp(x) - 2.0
+
+        monkeypatch.setattr(scenarios, "_BRENTQ_ITERATIONS", 2)
+        with pytest.raises(RuntimeError, match="Failed to converge after 2 iterations") as ours:
+            scenarios._brentq(f, -10.0, 10.0, 1e-12, 1e-15)
+        with pytest.raises(RuntimeError) as theirs:
+            scipy_brentq(f, -10.0, 10.0, xtol=1e-12, rtol=1e-15, maxiter=2)
+        assert str(ours.value) == str(theirs.value)

@@ -2,7 +2,12 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import rlvrlab
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -23,3 +28,29 @@ def test_every_traced_benchmark_target_resolves():
     for target in targets:
         module, function = target.split(".")
         assert callable(getattr(importlib.import_module(f"rlvrlab.{module}"), function, None)), target
+
+
+IMPORT_EVERY_MODULE = """
+import importlib, pkgutil, sys
+before = {name.split(".")[0] for name in sys.modules}
+import rlvrlab
+for module in pkgutil.iter_modules(rlvrlab.__path__):
+    importlib.import_module("rlvrlab." + module.name)
+print(" ".join(sorted(name for name in sys.modules if name.startswith("rlvrlab."))))
+print(" ".join(sorted({name.split(".")[0] for name in sys.modules} - before)))
+"""
+
+
+def test_importing_every_module_loads_only_numpy_and_the_standard_library():
+    """A fresh interpreter that imports every rlvrlab module (cli, verify and
+    oracle included) loads no third-party package but numpy.  Names already
+    loaded at start-up (site hooks) are not rlvrlab's doing and are left out."""
+    src = str(Path(rlvrlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_EVERY_MODULE], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    modules, loaded = set(out[0].split()), set(out[1].split())
+    assert {"rlvrlab.cli", "rlvrlab.verify", "rlvrlab.oracle", "rlvrlab.scenarios"} <= modules
+    assert {"numpy", "rlvrlab"} <= loaded
+    assert sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "rlvrlab"}) == []
