@@ -33,6 +33,7 @@ from .trainers import (
     BoundReport,
     NumericalAbort,
     TrajectoryLog,
+    _replayed,
     cumulative_bound_check,
     run_trajectory,
 )
@@ -209,30 +210,37 @@ def _writable(out: Path) -> Path:
 
 
 def _run_instance(
-    cfg: ExperimentConfig, fs: FeatureSet, theta0: np.ndarray, out: Path, formats
+    cfg: ExperimentConfig,
+    fs: FeatureSet,
+    theta0: np.ndarray,
+    out: Path,
+    formats,
+    log: Optional[TrajectoryLog] = None,
 ) -> RunResult:
     """The run and artifacts of run_experiment on a built instance (neither
-    fs nor theta0 is mutated, so a sweep shares one build)."""
-    try:
-        log = run_trajectory(
-            cfg.trainer,
-            fs,
-            theta0,
-            snapshot_cadence=cfg.snapshot_cadence,
-            checkpoint_cadence=cfg.phase_cadence,
-        )
-    except NumericalAbort as abort:
-        _write_json(
-            out / "abort.json",
-            {
-                "error": "numerical_abort",
-                "last_good_iteration": abort.t,
-                "message": str(abort),
-                "config": cfg.echo,
-                "config_hash": cfg.content_hash,
-            },
-        )
-        raise
+    fs nor theta0 is mutated, so a sweep shares one build); `log`, when
+    given, is the finished run's, which a sweep may have already."""
+    if log is None:
+        try:
+            log = run_trajectory(
+                cfg.trainer,
+                fs,
+                theta0,
+                snapshot_cadence=cfg.snapshot_cadence,
+                checkpoint_cadence=cfg.phase_cadence,
+            )
+        except NumericalAbort as abort:
+            _write_json(
+                out / "abort.json",
+                {
+                    "error": "numerical_abort",
+                    "last_good_iteration": abort.t,
+                    "message": str(abort),
+                    "config": cfg.echo,
+                    "config_hash": cfg.content_hash,
+                },
+            )
+            raise
 
     bound_report = cumulative_bound_check(log, fs)
     final_mean = float(batch_stats(fs, log.final_theta).success.mean())
@@ -319,15 +327,18 @@ def run_sweep(cfg: ExperimentConfig, seeds, algorithms=ALGORITHMS, out_dir=None)
     fs, theta0 = build_instance(cfg)
     runs: dict[tuple[str, int], RunResult] = {}
     for alg in algorithms:
-        for seed in seeds:
-            sub_cfg = replace(
-                cfg,
-                trainer=replace(cfg.trainer, algorithm=alg, seed=seed),
-                snapshot_cadence=1,
-            )
+        sub_cfgs = [
+            replace(cfg, trainer=replace(cfg.trainer, algorithm=alg, seed=seed), snapshot_cadence=1)
+            for seed in seeds
+        ]
+        # On a block-orthogonal instance one round history gives every seed's
+        # log.  Otherwise each run goes through run_trajectory, so a run that
+        # aborts stops the sweep there, after the earlier runs' artifacts.
+        logs = _replayed([c.trainer for c in sub_cfgs], fs, theta0, 1, cfg.phase_cadence)
+        for seed, sub_cfg, log in zip(seeds, sub_cfgs, logs or [None] * len(seeds)):
             # out is resolved already: resolving a relative root again would nest it twice
             sub_out = _writable(out / f"{alg}_seed{seed}")
-            runs[(alg, seed)] = _run_instance(sub_cfg, fs, theta0, sub_out, ("csv", "json"))
+            runs[(alg, seed)] = _run_instance(sub_cfg, fs, theta0, sub_out, ("csv", "json"), log)
 
     table = []
     for seed in seeds:

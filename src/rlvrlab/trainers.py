@@ -18,6 +18,7 @@ import numpy as np
 
 from .policy import (
     DEFAULT_EPS_FLOOR,
+    BatchStats,
     FeatureSet,
     PromptStats,
     _batch_stats,
@@ -371,11 +372,15 @@ def run_trajectory(
     non-finite, or whose logits overflow, abort with a NumericalAbort
     carrying the last good iteration.
 
-    When no two prompts' features share a coordinate, the run is replayed in
-    rounds of updates (see _replay) and gives the general loop's log bit for
-    bit; any other instance runs the loop.
+    When no two prompts' features share a coordinate, the run is read from a
+    round history of its own selection counts (the one-seed case of
+    _replayed) and gives the general loop's log bit for bit; any other
+    instance runs the loop.
     """
-    return _trajectory(cfg, fs, theta0, snapshot_cadence, checkpoint_cadence, replay=True)
+    logs = _replayed([cfg], fs, theta0, snapshot_cadence, checkpoint_cadence)
+    if logs is not None:
+        return logs[0]
+    return _loop_trajectory(cfg, fs, theta0, snapshot_cadence, checkpoint_cadence)
 
 
 def _loop_trajectory(
@@ -387,17 +392,6 @@ def _loop_trajectory(
 ) -> TrajectoryLog:
     """run_trajectory through the general loop on any instance: the oracle
     the round replay is checked against."""
-    return _trajectory(cfg, fs, theta0, snapshot_cadence, checkpoint_cadence, replay=False)
-
-
-def _trajectory(
-    cfg: TrainerConfig,
-    fs: FeatureSet,
-    theta0: np.ndarray,
-    snapshot_cadence: int,
-    checkpoint_cadence: int,
-    replay: bool,
-) -> TrajectoryLog:
     if snapshot_cadence < 1:
         raise ValueError("snapshot_cadence must be >= 1")
     theta = np.array(theta0, dtype=np.float64, copy=True)
@@ -405,16 +399,15 @@ def _trajectory(
         raise ValueError(f"theta0 has shape {theta.shape}, expected ({fs.d},)")
     if not np.isfinite(theta).all():
         raise ValueError("theta0 contains non-finite entries")
-
     eta = step_size(cfg, fs)
     selected = _prompt_draws(cfg.seed, fs.n, cfg.horizon)
-    run = None
-    if replay:
-        owner = _coordinate_owners(fs)
-        if owner is not None:
-            run = _replay(cfg, fs, theta, eta, selected, owner, checkpoint_cadence)
-    if run is None:
-        run = _loop(cfg, fs, theta, eta, selected, checkpoint_cadence)
+    run = _loop(cfg, fs, theta, eta, selected, checkpoint_cadence)
+    return _log(cfg, fs, eta, selected, run, snapshot_cadence)
+
+
+def _log(cfg, fs, eta, selected, run, snapshot_cadence) -> TrajectoryLog:
+    """A TrajectoryLog from a run's (initial stats, final theta, the logged
+    columns, checkpoints)."""
     initial, final_theta, columns, checkpoints = run
     return TrajectoryLog(
         config=cfg,
@@ -485,29 +478,80 @@ def _coordinate_owners(fs: FeatureSet) -> Optional[np.ndarray]:
     return np.where(support.any(axis=0), support.argmax(axis=0), -1)
 
 
-def _replay(cfg, fs, theta, eta, selected, owner, checkpoint_cadence):
-    """The general loop's result on an instance whose prompts use disjoint
-    coordinates, from one _batch_stats call per round of updates; None when
-    an iterate or its logits go non-finite, so the loop reports the abort.
+def _replayed(cfgs, fs, theta0, snapshot_cadence, checkpoint_cadence) -> Optional[list[TrajectoryLog]]:
+    """run_trajectory's log for each of cfgs, which differ at most in seed,
+    all read from one round history (see _history); None when the general
+    loop must run them: when two prompts' features share a coordinate, when
+    an iterate or its logits go non-finite (the loop then reports the abort),
+    or on arguments the loop rejects.
+
+    On an instance whose prompts use disjoint coordinates, prompt i's k-th
+    state depends only on its own earlier updates, so it is the same in every
+    run from theta0: the seed only decides the order in which each prompt's
+    updates happen.  One history in which prompt i stops after the most
+    updates any run gives it therefore holds every state of every run.
+    """
+    owner = _coordinate_owners(fs)
+    if owner is None or snapshot_cadence < 1:
+        return None
+    theta = np.array(theta0, dtype=np.float64, copy=True)
+    if theta.shape != (fs.d,) or not np.isfinite(theta).all():
+        return None
+    eta = step_size(cfgs[0], fs)
+    draws = [_prompt_draws(cfg.seed, fs.n, cfg.horizon) for cfg in cfgs]
+    caps = np.max([np.bincount(selected, minlength=fs.n) for selected in draws], axis=0)
+    history = _history(cfgs[0], fs, theta, eta, caps)
+    if history is None:
+        return None
+    runs = [_gather(history, selected, owner, checkpoint_cadence) for selected in draws]
+    # free the rounds before the logs derive their columns: holding both
+    # would raise a long run's peak memory
+    del history
+    return [
+        _log(cfg, fs, eta, selected, run, snapshot_cadence) for cfg, selected, run in zip(cfgs, draws, runs)
+    ]
+
+
+class _History(NamedTuple):
+    """Rounds k = 0 .. R of a round replay.  Row k of the (R + 1, n) arrays
+    holds every prompt's stats after min(k, caps[i]) of its own updates, and
+    row k of thetas the parameters they were taken at; row k of the (R, n)
+    arrays holds each prompt's next update: eta / divisor, the divisor and
+    whether the GRPO variance floor fired.  `initial` is round 0's
+    BatchStats."""
+
+    initial: BatchStats
+    thetas: np.ndarray
+    success: np.ndarray
+    grad_sq: np.ndarray
+    variance: np.ndarray
+    eta_eff: np.ndarray
+    divisor: np.ndarray
+    clamped: np.ndarray
+
+
+def _history(cfg, fs, theta, eta, caps) -> Optional[_History]:
+    """Every prompt's states after 0 .. caps[i] of its own updates, on an
+    instance whose prompts use disjoint coordinates, from one _batch_stats
+    call per round of updates; None when an iterate or its logits go
+    non-finite.
 
     With disjoint supports, prompt i's logits and gradient read only its own
     coordinates (the others meet exact zeros), and its gradient is exactly
     zero elsewhere.  So prompt i's stats after its k-th update do not depend
-    on when the other prompts were updated, and round k (k = 0 .. the largest
-    selection count) evaluates every prompt after its own k-th update at one
-    theta and applies every pending next update at once.  Each coordinate of
-    the summed update is its owner's term plus exact zeros, which equals the
-    loop's x + a in value (only the sign of a zero may differ, and a zero
-    meets only zeros on its way into a logit).  The per-iteration columns are
-    read back from the per-prompt histories by each row's selection counts.
+    on when the other prompts were updated, and round k (k = 0 .. max caps)
+    evaluates every prompt after its own k-th update at one theta and applies
+    at once the next update of every prompt with k < caps[i].  Each
+    coordinate of the summed update is its owner's term plus exact zeros,
+    which equals the loop's x + a in value (only the sign of a zero may
+    differ, and a zero meets only zeros on its way into a logit).
     """
-    T, n, d = len(selected), fs.n, fs.d
-    counts = np.bincount(selected, minlength=n)
-    rounds = int(counts.max())
+    n = fs.n
+    rounds = int(caps.max())
     success, grad_sq, variance = (np.empty((rounds + 1, n)) for _ in range(3))
     eta_eff, divisor = np.empty((rounds, n)), np.ones((rounds, n))
     clamped = np.zeros((rounds, n), dtype=bool)
-    thetas = np.empty((rounds + 1, d)) if checkpoint_cadence else None
+    thetas = np.empty((rounds + 1, fs.d))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(rounds + 1):
             try:
@@ -515,10 +559,9 @@ def _replay(cfg, fs, theta, eta, selected, owner, checkpoint_cadence):
             except FloatingPointError:
                 return None
             if k == 0:
-                initial = [stats.prompt(i) for i in range(n)]
+                initial = stats
             success[k], grad_sq[k], variance[k] = stats.success, stats.grad_sq, stats.variance
-            if thetas is not None:
-                thetas[k] = theta
+            thetas[k] = theta
             if k == rounds:
                 break
             if cfg.algorithm == "grpo":
@@ -527,11 +570,18 @@ def _replay(cfg, fs, theta, eta, selected, owner, checkpoint_cadence):
                 clamped[k] = sd < cfg.eps_floor
             eta_eff[k] = eta / divisor[k]
             update = eta_eff[k][:, None] * stats.grads
-            update[counts <= k] = 0.0
+            update[caps <= k] = 0.0
             theta = theta + update.sum(axis=0)
             if not np.isfinite(theta).all():
                 return None
+    return _History(initial, thetas, success, grad_sq, variance, eta_eff, divisor, clamped)
 
+
+def _gather(history: _History, selected, owner, checkpoint_cadence):
+    """One run's (initial stats, final theta, the logged columns,
+    checkpoints), as _loop returns them, read from a history whose caps cover
+    the run's selection counts.  Every array is the run's own."""
+    T, n, d = len(selected), history.success.shape[1], len(owner)
     # before[row, i]: prompt i's updates in rows 0 .. row - 1, i.e. which of
     # its states the loop's pre-step theta of that row holds.
     taken = selected[:, None] == np.arange(n)
@@ -539,22 +589,26 @@ def _replay(cfg, fs, theta, eta, selected, owner, checkpoint_cadence):
     before = after - taken
     k_sel = before[np.arange(T), selected]
     columns = dict(
-        objectives=success[before, np.arange(n)],
-        grad_sq=grad_sq[before, np.arange(n)],
-        variance=variance[before, np.arange(n)],
-        eta_effective=eta_eff[k_sel, selected],
-        divisor=divisor[k_sel, selected],
-        variance_flag=clamped[k_sel, selected],
-        objective_after=success[k_sel + 1, selected],
+        objectives=history.success[before, np.arange(n)],
+        grad_sq=history.grad_sq[before, np.arange(n)],
+        variance=history.variance[before, np.arange(n)],
+        eta_effective=history.eta_eff[k_sel, selected],
+        divisor=history.divisor[k_sel, selected],
+        variance_flag=history.clamped[k_sel, selected],
+        objective_after=history.success[k_sel + 1, selected],
     )
+    # a coordinate holds its owner's state; an unowned one never moves, so
+    # any round's value will do
+    owned = np.maximum(owner, 0)
+    final_theta = history.thetas[after[-1][owned], np.arange(d)]
     checkpoints = []
     if checkpoint_cadence:
-        # a coordinate holds its owner's state; an unowned one never moves,
-        # so any round's value will do
         rows = np.arange(checkpoint_cadence - 1, T, checkpoint_cadence)
-        ks = after[rows][:, np.maximum(owner, 0)]
-        checkpoints = list(zip((rows + 1).tolist(), thetas[ks, np.arange(d)]))
-    return initial, theta, columns, checkpoints
+        ks = after[rows][:, owned]
+        checkpoints = list(zip((rows + 1).tolist(), history.thetas[ks, np.arange(d)]))
+    stats = history.initial._replace(probs=history.initial.probs.copy())
+    initial = [stats.prompt(i) for i in range(n)]
+    return initial, final_theta, columns, checkpoints
 
 
 @dataclass

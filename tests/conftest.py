@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,3 +90,12 @@ def _refuse_constant(name):
 def strict_json(text: str):
     """json.loads that refuses NaN, Infinity and -Infinity."""
     return json.loads(text, parse_constant=_refuse_constant)
+
+
+def tree_digests(root) -> dict:
+    """The sha256 of every file under root, keyed by its relative path."""
+    root = Path(root)
+    return {
+        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*")) if p.is_file()
+    }

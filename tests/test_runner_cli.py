@@ -4,11 +4,13 @@ the documented exit codes."""
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import strict_json
+from conftest import strict_json, tree_digests
+from rlvrlab import runner, trainers
 from rlvrlab.cli import main
 from rlvrlab.config import build_instance, parse_config_dict
 from rlvrlab.instancefile import save_instance
@@ -28,6 +30,36 @@ SMALL = {
     "trainer": {"algorithm": "grpo", "horizon": 12, "seed": 4},
     "diagnostics": {"per_prompt_columns": True},
     "output": {"dir": "golden", "formats": ["csv", "json"]},
+}
+
+
+# A difficulty-preset sweep and the sha256 of every file it writes, taken
+# at the commit before a sweep's runs shared one round history
+PRESET_SWEEP = {
+    "scenario": {
+        "generator": "difficulty_preset",
+        "params": {"n": 6, "K": 4, "block_dim": 4, "scale": 1.0},
+        "seed": 31,
+    },
+    "trainer": {"algorithm": "grpo", "horizon": 300, "seed": 0},
+    "diagnostics": {"phase_cadence": 100, "threshold": 0.6, "per_prompt_columns": True},
+    "output": {"dir": "sweep", "formats": ["csv", "json"]},
+}
+PRESET_SWEEP_DIGESTS = {
+    "grpo_seed0/summary.json": "b9971449a2ef9954c30ff52a0829268a138f4412895cd95c1c3490325fac7643",
+    "grpo_seed0/trajectory.csv": "039e59c843ce5b5d852f128016f5d2735c755457e81080b08826f524b5f174d8",
+    "grpo_seed11/summary.json": "c0496aa176cb32704e7cd582a8de54ff88a8bd3bd849f1562a16c7d77dfd3aaa",
+    "grpo_seed11/trajectory.csv": "9f845931a26b2dde7d30706ad388f3f58879ef6adb0e352446ab053e7fa62305",
+    "grpo_seed5/summary.json": "eea246b35150a25b02c6831f457d27b299b1362c689a5e3448816f70b1effc28",
+    "grpo_seed5/trajectory.csv": "c05d1d787a45f6c5223854d627cc9a2a56a0d0c46c4baf25f5bdafba8a962edd",
+    "reinforce_seed0/summary.json": "897c4768aefb65fa54905ed0431c737d76ef1678e810cebdf48a46c2ff2cd157",
+    "reinforce_seed0/trajectory.csv": "a2a6e57d9ef62aa39396effc9c09af8d8e90979d41032e6e6237842a60be768c",
+    "reinforce_seed11/summary.json": "b538398b068b7cc0d1d39964ea1f8a9f64c3e680935c1ccb000dc4b36428a1ab",
+    "reinforce_seed11/trajectory.csv": "2ec6abd924cfa0520cd405ad2740a0b3ea50f539389bf806d835a6da01d14572",
+    "reinforce_seed5/summary.json": "7acb580c4e14f1fb61a70217371289df807dbe0797e4efd486b2eccd00eac89b",
+    "reinforce_seed5/trajectory.csv": "792c84eae5e21db6c7f26354c7a1a813dfa05b43ab3f565c03fadb27b7065a8d",
+    "sweep_summary.json": "bf19b8ab13bcd1d5fbbb89289583ce040bbfbc9008452982616751fd7dc85814",
+    "sweep_table.csv": "0d0e7c5e3cfbac519a19d3626d2b534a7d2ead19f6d922d99415edcecaf51260",
 }
 
 
@@ -177,6 +209,20 @@ class TestSweep:
         summary = json.loads((sweep.out_dir / "reinforce_seed1" / "summary.json").read_text())
         assert summary["config"] == ran.echo
         assert summary["config_hash"] == ran.content_hash
+
+    def test_pinned_preset_sweep_bytes(self, tmp_path):
+        # both algorithms from one round history each, checkpoints for the
+        # phase timeline, and the per-prompt columns
+        cfg = parse_config_dict(PRESET_SWEEP)
+        run_sweep(cfg, seeds=[0, 5, 11], out_dir=tmp_path / "sweep")
+        assert tree_digests(tmp_path / "sweep") == PRESET_SWEEP_DIGESTS
+
+    def test_block_orthogonal_sweep_replays_once_per_algorithm(self, tmp_path):
+        cfg = small_cfg(trainer={"horizon": 50}, diagnostics={"per_prompt_columns": False})
+        with mock.patch.object(runner, "run_trajectory", side_effect=AssertionError("one run replayed")):
+            with mock.patch.object(trainers, "_history", wraps=trainers._history) as history:
+                run_sweep(cfg, seeds=[0, 1, 2], out_dir=tmp_path / "sweep")
+        assert history.call_count == 2
 
     def test_needs_two_seeds(self, tmp_path):
         with pytest.raises(ValueError):

@@ -10,9 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import tree_digests
 from rlvrlab import trainers
+from rlvrlab.config import parse_config_dict
+from rlvrlab.instancefile import save_instance
 from rlvrlab.policy import FeatureSet, policy_gradient, prompt_stats
 from rlvrlab.rng import PROMPT_STREAM, SCENARIO_STREAM, stream_rng
+from rlvrlab.runner import run_sweep
 from rlvrlab.scenarios import difficulty_profile, orthogonal_blocks, random_features
 from rlvrlab.trainers import (
     ALGORITHMS,
@@ -24,6 +28,7 @@ from rlvrlab.trainers import (
     _coordinate_owners,
     _loop_trajectory,
     _prompt_draws,
+    _replayed,
     cumulative_bound_check,
     grpo_step,
     per_step_bound,
@@ -550,8 +555,8 @@ def block_instance(rng, n, K, unowned, empty_prompt):
     return FeatureSet(features=tuple(features), correct=rng.integers(0, K, size=n)), owners
 
 
-@settings(max_examples=120, deadline=None)
-@given(
+# A random block-orthogonal run, drawn by replay_case
+REPLAY_CASES = dict(
     algorithm=st.sampled_from(ALGORITHMS),
     step_rule=st.sampled_from(STEP_RULES),
     n=st.integers(1, 6),
@@ -559,17 +564,19 @@ def block_instance(rng, n, K, unowned, empty_prompt):
     unowned=st.integers(0, 3),
     empty_prompt=st.booleans(),
     instance_seed=st.integers(0, 2**32 - 1),
-    trainer_seed=st.sampled_from([0, 1, 12345, 2**64 - 1]),
     horizon=st.integers(1, 60),
     checkpoint_cadence=st.sampled_from([0, 1, 4, 7]),
     eta=st.floats(1e-3, 5.0),
     constants=st.tuples(st.floats(0.0, 4.0), st.floats(1.0, 3.0), st.floats(1.0, 3.0)),
     eps_floor=st.sampled_from([1e-8, 0.1, 0.45]),
 )
-def test_round_replay_matches_general_loop(
-    algorithm, step_rule, n, K, unowned, empty_prompt, instance_seed, trainer_seed, horizon,
-    checkpoint_cadence, eta, constants, eps_floor,
+
+
+def replay_case(
+    algorithm, step_rule, n, K, unowned, empty_prompt, instance_seed, horizon, eta, constants, eps_floor,
 ):
+    """A block instance, a theta0 with zeros of both signs, and a trainer
+    config with seed 0."""
     rng = np.random.default_rng(instance_seed)
     fs, owners = block_instance(rng, n, K, unowned, empty_prompt and n > 1)
     assert np.array_equal(_coordinate_owners(fs), owners)
@@ -577,14 +584,74 @@ def test_round_replay_matches_general_loop(
     theta0[rng.uniform(size=fs.d) < 0.3] = -0.0
     theta0[rng.uniform(size=fs.d) < 0.1] = 0.0
     cfg = TrainerConfig(
-        algorithm=algorithm, horizon=horizon, seed=trainer_seed, step_rule=step_rule,
+        algorithm=algorithm, horizon=horizon, seed=0, step_rule=step_rule,
         eta=eta if step_rule == "manual" else None,
         relaxed_constants=RelaxedConstants(*constants) if step_rule == "relaxed" else None,
         eps_floor=eps_floor,
     )
+    return fs, theta0, cfg
+
+
+@settings(max_examples=120, deadline=None)
+@given(trainer_seed=st.sampled_from([0, 1, 12345, 2**64 - 1]), **REPLAY_CASES)
+def test_round_replay_matches_general_loop(trainer_seed, checkpoint_cadence, **case):
+    fs, theta0, cfg = replay_case(**case)
+    cfg = replace(cfg, seed=trainer_seed)
     with mock.patch.object(trainers, "_loop", side_effect=AssertionError("the general loop ran")):
         got = run_trajectory(cfg, fs, theta0, checkpoint_cadence=checkpoint_cadence)
     assert_same_log(got, _loop_trajectory(cfg, fs, theta0, checkpoint_cadence=checkpoint_cadence))
+
+
+def writable_arrays(log):
+    """Every array a log hands out that a caller could write to."""
+    arrays = [getattr(log, f.name) for f in fields(TrajectoryLog)]
+    arrays += [theta for _, theta in log.theta_checkpoints] + [s.probs for s in log.initial_stats]
+    return [a for a in arrays if isinstance(a, np.ndarray) and a.flags.writeable]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seeds=st.lists(st.sampled_from([0, 1, 2, 3, 12345, 2**63 + 5, 2**64 - 1]), min_size=2, max_size=5, unique=True),
+    **REPLAY_CASES,
+)
+def test_one_history_gives_every_seeds_loop_log(seeds, checkpoint_cadence, **case):
+    fs, theta0, cfg = replay_case(**case)
+    cfgs = [replace(cfg, seed=seed) for seed in seeds]
+    with mock.patch.object(trainers, "_loop", side_effect=AssertionError("the general loop ran")):
+        with mock.patch.object(trainers, "_history", wraps=trainers._history) as history:
+            logs = _replayed(cfgs, fs, theta0, 1, checkpoint_cadence)
+    assert history.call_count == 1
+    for seed_cfg, log in zip(cfgs, logs):
+        assert log.config is seed_cfg
+        assert_same_log(log, _loop_trajectory(seed_cfg, fs, theta0, checkpoint_cadence=checkpoint_cadence))
+    for k, log in enumerate(logs):
+        for other in logs[:k]:
+            for a in writable_arrays(log):
+                assert not any(np.shares_memory(a, b) for b in writable_arrays(other))
+
+
+def overflow_instance():
+    """Prompt 0 all zero, so its steps change nothing, and prompt 1 scaled so
+    that its first step overflows under eta = 1e308 and its logits overflow
+    after it under eta = 1e306; with theta0."""
+    block = stream_rng(57, SCENARIO_STREAM).uniform(-40.0, 40.0, size=(3, 3))
+    fs = FeatureSet(features=(np.zeros((3, 6)), np.hstack([np.zeros((3, 3)), block])), correct=[0, 2])
+    return fs, np.array([-0.0, 1.0, 0.0, 0.0, -0.0, 0.0])
+
+
+# The aborting sweep's tree at the commit before runs shared a round history
+ABORT_SWEEP_DIGESTS = {
+    1e306: {
+        "reinforce_seed3/abort.json": "39aa1e2eaf3d39478b38c9989123a07960d2fcc3c58dfdc4420e7af58a134ed4",
+        "reinforce_seed5/summary.json": "5aa426a634f84e5f0e86977ff15b75935b2fdc0f1a72cab4671881a708313ff3",
+        "reinforce_seed5/trajectory.csv": "e5a1a267a11128c0493991927fc11ec8bbdb90011e0cba6404aa03a4289a12a7",
+    },
+    1e308: {
+        "reinforce_seed3/abort.json": "4fb9c9f48832ed69821397f3e35348c3a7eb28c766fc197533d921a0bd0b4f00",
+        "reinforce_seed5/summary.json": "c2e027686508d47b979d0fb8f77314272d6e4b684cc4a73b56b8047fe4f1019a",
+        "reinforce_seed5/trajectory.csv": "9dae0c7d70507df1152c2534abfdb836fbf0958cb2c481a18cf5ff8373fb13eb",
+    },
+}
 
 
 class TestRoundReplay:
@@ -597,9 +664,7 @@ class TestRoundReplay:
         # the run aborts after the iterations before prompt 1 is first drawn.
         # Under GRPO at 1e308, eta / sd is inf, and inf * 0 aborts prompt 0's
         # first step.
-        block = stream_rng(57, SCENARIO_STREAM).uniform(-40.0, 40.0, size=(3, 3))
-        fs = FeatureSet(features=(np.zeros((3, 6)), np.hstack([np.zeros((3, 3)), block])), correct=[0, 2])
-        theta0 = np.array([-0.0, 1.0, 0.0, 0.0, -0.0, 0.0])
+        fs, theta0 = overflow_instance()
         firsts = []
         for seed in range(6):
             cfg = TrainerConfig(algorithm=algorithm, horizon=50, seed=seed, step_rule="manual", eta=eta)
@@ -622,6 +687,29 @@ class TestRoundReplay:
         assert _coordinate_owners(ortho_fs) is not None
         assert _coordinate_owners(fs) is None
         cfg = TrainerConfig(algorithm="grpo", horizon=200, seed=3)
-        with mock.patch.object(trainers, "_replay", side_effect=AssertionError("replayed")):
+        with mock.patch.object(trainers, "_history", side_effect=AssertionError("replayed")):
             got = run_trajectory(cfg, fs, np.zeros(fs.d), checkpoint_cadence=50)
         assert_same_log(got, _loop_trajectory(cfg, fs, np.zeros(fs.d), checkpoint_cadence=50))
+
+    @pytest.mark.parametrize("eta", [1e308, 1e306])
+    def test_sweep_whose_history_overflows_runs_seed_by_seed(self, tmp_path, monkeypatch, eta):
+        # horizon 4: seed 5 never draws prompt 1, seed 3 first draws it at
+        # iteration 3, so the reinforce sweep finishes seed 5, aborts in seed
+        # 3 after 2 iterations and never reaches seed 0
+        assert _prompt_draws(5, 2, 4).tolist() == [0, 0, 0, 0]
+        assert _prompt_draws(3, 2, 4).tolist() == [0, 0, 1, 1]
+        fs, theta0 = overflow_instance()
+        monkeypatch.chdir(tmp_path)  # the config echo holds the instance path
+        save_instance(fs, "overflow.txt")
+        cfg = parse_config_dict({
+            "scenario": {
+                "generator": "instance_file", "params": {"path": "overflow.txt"},
+                "theta0": {"kind": "values", "values": theta0.tolist()},
+            },
+            "trainer": {"algorithm": "grpo", "horizon": 4, "seed": 0, "step_rule": "manual", "eta": eta},
+            "output": {"dir": "sweep", "formats": ["csv", "json"]},
+        })
+        with pytest.raises(NumericalAbort) as err:
+            run_sweep(cfg, seeds=[5, 3, 0], out_dir="sweep")
+        assert err.value.t == 2
+        assert tree_digests("sweep") == ABORT_SWEEP_DIGESTS[eta]
