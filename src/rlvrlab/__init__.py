@@ -25,8 +25,6 @@ from .trainers import (
     TrainerConfig,
     TrajectoryLog,
     cumulative_bound_check,
-    grpo_step,
-    reinforce_step,
     run_trajectory,
     select_prompt,
     step_size,

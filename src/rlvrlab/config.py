@@ -294,5 +294,7 @@ def build_instance(cfg: ExperimentConfig) -> tuple[FeatureSet, np.ndarray]:
         values = np.asarray(spec["values"], dtype=np.float64)
         if values.shape != (fs.d,):
             raise ConfigError(f"scenario.theta0.values: expected {fs.d} entries, got {values.size}")
+        if not np.isfinite(values).all():
+            raise ConfigError("scenario.theta0.values: contains non-finite values")
         theta0 = values
     return fs, theta0

@@ -27,7 +27,6 @@ __all__ = [
     "policy_gradient",
     "hessian_quadratic_form",
     "hessian_matrix",
-    "hessian_norm",
     "hessian_norms",
     "spectral_norm",
 ]
@@ -125,12 +124,6 @@ class BatchStats(NamedTuple):
     grads: np.ndarray
     grad_sq: np.ndarray
 
-    def prompt(self, i: int) -> PromptStats:
-        success = float(self.success[i])
-        return PromptStats(
-            probs=self.probs[i], success=success, variance=float(self.variance[i]), objective=success
-        )
-
 
 def _check_theta(theta: np.ndarray, d: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
@@ -226,13 +219,6 @@ def prompt_stats(fs: FeatureSet, theta: np.ndarray, i: int) -> PromptStats:
     return PromptStats(probs=probs[0], success=success, variance=float(variance[0]), objective=success)
 
 
-def _prompt_gradient(fs: FeatureSet, theta: np.ndarray, i: int) -> tuple[float, np.ndarray]:
-    """(reward variance, policy_gradient) of prompt i at theta from one
-    _prompt_row call."""
-    _, _, variance, hr = _prompt_row(fs, theta, i)
-    return float(variance[0]), fs.features[i].T @ hr[0]
-
-
 def policy_gradient(fs: FeatureSet, theta: np.ndarray, i: int) -> np.ndarray:
     """Exact gradient of the expected reward of prompt i at theta.
 
@@ -240,7 +226,8 @@ def policy_gradient(fs: FeatureSet, theta: np.ndarray, i: int) -> np.ndarray:
     of the correct output minus the probability-weighted features of the
     wrong ones.
     """
-    return _prompt_gradient(fs, theta, i)[1]
+    hr = _prompt_row(fs, theta, i)[3]
+    return fs.features[i].T @ hr[0]
 
 
 def hessian_quadratic_form(fs: FeatureSet, theta: np.ndarray, i: int, y: np.ndarray) -> float:
@@ -279,11 +266,6 @@ def hessian_matrix(fs: FeatureSet, theta: np.ndarray, i: int) -> np.ndarray:
     probs, _, _, hr = _prompt_row(fs, theta, i)
     X = fs.features[i]
     return X.T @ _hessian_inners(probs, hr)[0] @ X
-
-
-def hessian_norm(fs: FeatureSet, theta: np.ndarray, i: int) -> float:
-    """Spectral norm of Hess(J_i) at theta: the one-pair case of hessian_norms."""
-    return float(hessian_norms(fs, [theta], [i])[0])
 
 
 def hessian_norms(fs: FeatureSet, thetas: np.ndarray, prompts) -> np.ndarray:

@@ -16,15 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .policy import (
-    DEFAULT_EPS_FLOOR,
-    BatchStats,
-    FeatureSet,
-    PromptStats,
-    _batch_stats,
-    _prompt_gradient,
-    policy_gradient,
-)
+from .policy import DEFAULT_EPS_FLOOR, FeatureSet, _batch_stats
 from .rng import PROMPT_STREAM, _counter, _key, stream_rng
 
 __all__ = [
@@ -38,8 +30,6 @@ __all__ = [
     "step_size",
     "per_step_bound",
     "select_prompt",
-    "reinforce_step",
-    "grpo_step",
     "run_trajectory",
     "cumulative_bound_check",
     "PromptBound",
@@ -77,16 +67,16 @@ class TrainerConfig:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.step_rule == "manual":
-            if self.eta is None or self.eta <= 0:
-                raise ValueError("manual step rule requires eta > 0")
+            if self.eta is None or not 0.0 < self.eta < math.inf:
+                raise ValueError("manual step rule requires a finite eta > 0")
         if self.step_rule == "relaxed" and self.relaxed_constants is None:
             raise ValueError("relaxed step rule requires relaxed_constants")
         # r1 and r2 bound max/min ratios, m is a nonnegative interaction constant
         m, r1, r2 = self.relaxed_constants or (0.0, 1.0, 1.0)
         if not (0.0 <= m < math.inf and 1.0 <= r1 < math.inf and 1.0 <= r2 < math.inf):
             raise ValueError("relaxed_constants need finite m >= 0, r1 >= 1 and r2 >= 1")
-        if self.eps_floor <= 0:
-            raise ValueError("eps_floor must be positive")
+        if not 0.0 < self.eps_floor < math.inf:
+            raise ValueError("eps_floor must be finite and positive")
 
 
 @dataclass
@@ -136,7 +126,6 @@ class TrajectoryLog:
     config: TrainerConfig
     eta: float
     x_max: float
-    initial_stats: list[PromptStats]
     final_theta: np.ndarray
     objectives: np.ndarray
     grad_sq: np.ndarray
@@ -335,25 +324,6 @@ def _step(
     return theta + eta_eff * grad, eta_eff, divisor, clamped
 
 
-def reinforce_step(theta: np.ndarray, fs: FeatureSet, i: int, eta: float) -> np.ndarray:
-    """One ascent step along the exact gradient of the selected prompt."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    return _step("reinforce", theta, policy_gradient(fs, theta, i), eta)[0]
-
-
-def grpo_step(
-    theta: np.ndarray, fs: FeatureSet, i: int, eta: float, eps_floor: float = DEFAULT_EPS_FLOOR
-) -> np.ndarray:
-    """One ascent step along the variance-normalized gradient."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if eps_floor <= 0:
-        raise ValueError("eps_floor must be positive")
-    variance, grad = _prompt_gradient(fs, theta, i)
-    return _step("grpo", theta, grad, eta, variance, eps_floor)[0]
-
-
 def run_trajectory(
     cfg: TrainerConfig,
     fs: FeatureSet,
@@ -377,10 +347,17 @@ def run_trajectory(
     _replayed) and gives the general loop's log bit for bit; any other
     instance runs the loop.
     """
-    logs = _replayed([cfg], fs, theta0, snapshot_cadence, checkpoint_cadence)
+    if snapshot_cadence < 1:
+        raise ValueError("snapshot_cadence must be >= 1")
+    theta = np.array(theta0, dtype=np.float64, copy=True)
+    if theta.shape != (fs.d,):
+        raise ValueError(f"theta0 has shape {theta.shape}, expected ({fs.d},)")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta0 contains non-finite entries")
+    logs = _replayed([cfg], fs, theta, snapshot_cadence, checkpoint_cadence)
     if logs is not None:
         return logs[0]
-    return _loop_trajectory(cfg, fs, theta0, snapshot_cadence, checkpoint_cadence)
+    return _loop_trajectory(cfg, fs, theta, snapshot_cadence, checkpoint_cadence)
 
 
 def _loop_trajectory(
@@ -390,30 +367,23 @@ def _loop_trajectory(
     snapshot_cadence: int = 1,
     checkpoint_cadence: int = 0,
 ) -> TrajectoryLog:
-    """run_trajectory through the general loop on any instance: the oracle
-    the round replay is checked against."""
-    if snapshot_cadence < 1:
-        raise ValueError("snapshot_cadence must be >= 1")
-    theta = np.array(theta0, dtype=np.float64, copy=True)
-    if theta.shape != (fs.d,):
-        raise ValueError(f"theta0 has shape {theta.shape}, expected ({fs.d},)")
-    if not np.isfinite(theta).all():
-        raise ValueError("theta0 contains non-finite entries")
+    """run_trajectory through the general loop on any instance, from a theta0
+    and snapshot_cadence as run_trajectory checks them: the oracle the round
+    replay is checked against."""
     eta = step_size(cfg, fs)
     selected = _prompt_draws(cfg.seed, fs.n, cfg.horizon)
-    run = _loop(cfg, fs, theta, eta, selected, checkpoint_cadence)
+    run = _loop(cfg, fs, theta0, eta, selected, checkpoint_cadence)
     return _log(cfg, fs, eta, selected, run, snapshot_cadence)
 
 
 def _log(cfg, fs, eta, selected, run, snapshot_cadence) -> TrajectoryLog:
-    """A TrajectoryLog from a run's (initial stats, final theta, the logged
-    columns, checkpoints)."""
-    initial, final_theta, columns, checkpoints = run
+    """A TrajectoryLog from a run's (final theta, the logged columns,
+    checkpoints)."""
+    final_theta, columns, checkpoints = run
     return TrajectoryLog(
         config=cfg,
         eta=eta,
         x_max=fs.x_max,
-        initial_stats=initial,
         final_theta=final_theta,
         selected=selected,
         **columns,
@@ -424,7 +394,7 @@ def _log(cfg, fs, eta, selected, run, snapshot_cadence) -> TrajectoryLog:
 
 def _loop(cfg, fs, theta, eta, selected, checkpoint_cadence):
     """The general training loop: one _batch_stats call per iteration.
-    Returns (initial stats, final theta, the logged columns, checkpoints)."""
+    Returns (final theta, the logged columns, checkpoints)."""
     T, n = len(selected), fs.n
     objectives, grad_sq, variance = np.empty((T, n)), np.empty((T, n)), np.empty((T, n))
     eta_effective, divisor, objective_after = np.empty(T), np.empty(T), np.empty(T)
@@ -440,7 +410,6 @@ def _loop(cfg, fs, theta, eta, selected, checkpoint_cadence):
             stats = _batch_stats(fs, theta)
         except FloatingPointError:
             raise NumericalAbort(0, theta) from None
-        initial = [stats.prompt(i) for i in range(n)]
         for row, i_t in enumerate(selected.tolist()):
             objectives[row] = stats.success
             grad_sq[row] = stats.grad_sq
@@ -465,7 +434,7 @@ def _loop(cfg, fs, theta, eta, selected, checkpoint_cadence):
         objectives=objectives, grad_sq=grad_sq, variance=variance, eta_effective=eta_effective,
         divisor=divisor, variance_flag=variance_flag, objective_after=objective_after,
     )
-    return initial, theta, columns, checkpoints
+    return theta, columns, checkpoints
 
 
 def _coordinate_owners(fs: FeatureSet) -> Optional[np.ndarray]:
@@ -480,10 +449,10 @@ def _coordinate_owners(fs: FeatureSet) -> Optional[np.ndarray]:
 
 def _replayed(cfgs, fs, theta0, snapshot_cadence, checkpoint_cadence) -> Optional[list[TrajectoryLog]]:
     """run_trajectory's log for each of cfgs, which differ at most in seed,
-    all read from one round history (see _history); None when the general
-    loop must run them: when two prompts' features share a coordinate, when
-    an iterate or its logits go non-finite (the loop then reports the abort),
-    or on arguments the loop rejects.
+    from a theta0 and snapshot_cadence as run_trajectory checks them, all
+    read from one round history (see _history); None when the general loop
+    must run them: when two prompts' features share a coordinate, or when an
+    iterate or its logits go non-finite (the loop then reports the abort).
 
     On an instance whose prompts use disjoint coordinates, prompt i's k-th
     state depends only on its own earlier updates, so it is the same in every
@@ -492,15 +461,12 @@ def _replayed(cfgs, fs, theta0, snapshot_cadence, checkpoint_cadence) -> Optiona
     updates any run gives it therefore holds every state of every run.
     """
     owner = _coordinate_owners(fs)
-    if owner is None or snapshot_cadence < 1:
-        return None
-    theta = np.array(theta0, dtype=np.float64, copy=True)
-    if theta.shape != (fs.d,) or not np.isfinite(theta).all():
+    if owner is None:
         return None
     eta = step_size(cfgs[0], fs)
     draws = [_prompt_draws(cfg.seed, fs.n, cfg.horizon) for cfg in cfgs]
     caps = np.max([np.bincount(selected, minlength=fs.n) for selected in draws], axis=0)
-    history = _history(cfgs[0], fs, theta, eta, caps)
+    history = _history(cfgs[0], fs, theta0, eta, caps)
     if history is None:
         return None
     runs = [_gather(history, selected, owner, checkpoint_cadence) for selected in draws]
@@ -517,10 +483,8 @@ class _History(NamedTuple):
     holds every prompt's stats after min(k, caps[i]) of its own updates, and
     row k of thetas the parameters they were taken at; row k of the (R, n)
     arrays holds each prompt's next update: eta / divisor, the divisor and
-    whether the GRPO variance floor fired.  `initial` is round 0's
-    BatchStats."""
+    whether the GRPO variance floor fired."""
 
-    initial: BatchStats
     thetas: np.ndarray
     success: np.ndarray
     grad_sq: np.ndarray
@@ -558,8 +522,6 @@ def _history(cfg, fs, theta, eta, caps) -> Optional[_History]:
                 stats = _batch_stats(fs, theta)
             except FloatingPointError:
                 return None
-            if k == 0:
-                initial = stats
             success[k], grad_sq[k], variance[k] = stats.success, stats.grad_sq, stats.variance
             thetas[k] = theta
             if k == rounds:
@@ -574,13 +536,13 @@ def _history(cfg, fs, theta, eta, caps) -> Optional[_History]:
             theta = theta + update.sum(axis=0)
             if not np.isfinite(theta).all():
                 return None
-    return _History(initial, thetas, success, grad_sq, variance, eta_eff, divisor, clamped)
+    return _History(thetas, success, grad_sq, variance, eta_eff, divisor, clamped)
 
 
 def _gather(history: _History, selected, owner, checkpoint_cadence):
-    """One run's (initial stats, final theta, the logged columns,
-    checkpoints), as _loop returns them, read from a history whose caps cover
-    the run's selection counts.  Every array is the run's own."""
+    """One run's (final theta, the logged columns, checkpoints), as _loop
+    returns them, read from a history whose caps cover the run's selection
+    counts.  Every array is the run's own."""
     T, n, d = len(selected), history.success.shape[1], len(owner)
     # before[row, i]: prompt i's updates in rows 0 .. row - 1, i.e. which of
     # its states the loop's pre-step theta of that row holds.
@@ -606,9 +568,7 @@ def _gather(history: _History, selected, owner, checkpoint_cadence):
         rows = np.arange(checkpoint_cadence - 1, T, checkpoint_cadence)
         ks = after[rows][:, owned]
         checkpoints = list(zip((rows + 1).tolist(), history.thetas[ks, np.arange(d)]))
-    stats = history.initial._replace(probs=history.initial.probs.copy())
-    initial = [stats.prompt(i) for i in range(n)]
-    return initial, final_theta, columns, checkpoints
+    return final_theta, columns, checkpoints
 
 
 @dataclass
@@ -677,7 +637,7 @@ def cumulative_bound_check(log: TrajectoryLog, fs: FeatureSet) -> BoundReport:
     prompts = []
     c_values = []
     for i in range(n):
-        base = 2.0 * n * (1.0 - log.initial_stats[i].success) * xsq
+        base = 2.0 * n * (1.0 - float(log.objectives[0, i])) * xsq
         c_i = (8.0 / (3.0 * T)) * float(log.sqrt_v_sums[i])
         c_values.append(c_i)
         lhs_sum = float(log.grad_sq_sums[i])

@@ -38,7 +38,6 @@ from .policy import (
     FeatureSet,
     batch_stats,
     hessian_matrix,
-    hessian_norm,
     hessian_norms,
     hessian_quadratic_form,
     policy_gradient,
@@ -92,16 +91,17 @@ def _within(value: float, bound: float) -> bool:
     return value <= bound * (1.0 + _REL_EPS) + _ABS_EPS
 
 
-def _normalized_instance(rng, n_max=4, k_max=8, d_max=32) -> tuple[FeatureSet, np.ndarray]:
+def _normalized_instance(rng, n_max=4, k_max=8, d_max=32) -> FeatureSet:
+    """A random_features instance whose feature matrices have spectral norm
+    at most 1."""
     n = int(rng.integers(1, n_max + 1))
     K = int(rng.integers(2, k_max + 1))
     d = int(rng.integers(2, d_max + 1))
     fs = random_features(n, K, d, overlap=float(rng.uniform(0, 1)), rng=rng)
-    fs = FeatureSet(
+    return FeatureSet(
         features=tuple(X / max(1.0, np.linalg.norm(X, 2)) for X in fs.features),
         correct=fs.correct,
     )
-    return fs, rng.uniform(-3.0, 3.0, size=d)
 
 
 def c1_gradient_oracle(_work: Path) -> CriterionResult:
@@ -109,7 +109,8 @@ def c1_gradient_oracle(_work: Path) -> CriterionResult:
     rng = stream_rng(101, SCENARIO_STREAM)
     worst = 0.0
     for _ in range(100):
-        fs, theta = _normalized_instance(rng)
+        fs = _normalized_instance(rng)
+        theta = rng.uniform(-3.0, 3.0, size=fs.d)
         for i in range(fs.n):
             g = policy_gradient(fs, theta, i)
             gf = fd_gradient(_success_objective(fs, i), theta)
@@ -128,7 +129,8 @@ def c2_hessian_consistency(_work: Path) -> CriterionResult:
     rng = stream_rng(102, SCENARIO_STREAM)
     worst_quad = worst_fd = 0.0
     for _ in range(100):
-        fs, theta = _normalized_instance(rng)
+        fs = _normalized_instance(rng)
+        theta = rng.uniform(-3.0, 3.0, size=fs.d)
         for i in range(fs.n):
             H = hessian_matrix(fs, theta, i)
             for _ in range(200):
@@ -152,16 +154,9 @@ def _lemma_sweep(seed: int, check) -> tuple[int, int]:
     violations = 0
     samples = 0
     while samples < 10_000:
-        n = int(rng.integers(1, 4))
-        K = int(rng.integers(2, 7))
-        d = int(rng.integers(2, 17))
-        fs = random_features(n, K, d, overlap=float(rng.uniform(0, 1)), rng=rng)
-        fs = FeatureSet(
-            features=tuple(X / max(1.0, np.linalg.norm(X, 2)) for X in fs.features),
-            correct=fs.correct,
-        )
+        fs = _normalized_instance(rng, 3, 6, 16)
         for _ in range(10):
-            theta = rng.uniform(-3.0, 3.0, size=d)
+            theta = rng.uniform(-3.0, 3.0, size=fs.d)
             if not check(fs, theta, rng):
                 violations += 1
             samples += 1
@@ -220,7 +215,7 @@ def c5_local_smoothness_ball(_work: Path) -> CriterionResult:
         radius = math.sqrt(v) / fs.x_max
         u = rng.standard_normal(fs.d)
         u *= radius * rng.uniform() ** (1.0 / fs.d) / np.linalg.norm(u)
-        hn = hessian_norm(fs, theta + u, i)
+        hn = float(hessian_norms(fs, [theta + u], [i])[0])
         return _within(hn, 2.5 * fs.x_max**2 * math.sqrt(v))
 
     violations, samples = _lemma_sweep(105, check)

@@ -2,12 +2,14 @@
 
 `diagnose` reads generated instance files (feature magnitudes from 1e-300 to
 1e300, bad headers, truncated rows) and theta files; `run` reads generated
-configs with horizons up to 50, and `sweep` reads the same configs with
-generated seed and algorithm lists.  Every call must return 0, 2, 3, 4 or 5,
+configs with horizons up to 50 (NaN and infinite eps_floor, eta and theta0
+values among them), and `sweep` reads the same configs with generated seed
+and algorithm lists.  Every call must return 0, 2, 3, 4 or 5,
 and a sweep that repeats a seed or an algorithm, or names no algorithm, 2.
 """
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -76,6 +78,8 @@ def test_diagnose_generated_inputs_end_in_an_exit_code(data):
 
 
 scales = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 300))
+# json.dumps writes these as NaN, Infinity and -Infinity, which parse_config reads
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 @st.composite
@@ -92,13 +96,15 @@ def configs(draw, tmp: Path):
         params = {"path": str(path)}
     theta0 = draw(st.sampled_from([{"kind": "default"}, {"kind": "zeros"},
                                    {"kind": "difficulty_profile", "targets": [0.3]},
-                                   {"kind": "values", "values": [1.0] * dim}]))
+                                   {"kind": "values"}]))
+    if theta0["kind"] == "values":
+        theta0["values"] = draw(st.lists(st.one_of(st.just(1.0), non_finite), min_size=dim, max_size=dim))
     step_rule = draw(st.sampled_from(["theorem_default", "manual", "relaxed"]))
     trainer = {"algorithm": draw(st.sampled_from(["reinforce", "grpo"])),
                "horizon": draw(st.integers(1, 50)), "seed": draw(st.integers(0, 2**32)),
-               "step_rule": step_rule, "eps_floor": draw(scales)}
+               "step_rule": step_rule, "eps_floor": draw(st.one_of(scales, non_finite))}
     if step_rule == "manual":
-        trainer["eta"] = draw(scales)
+        trainer["eta"] = draw(st.one_of(scales, non_finite))
     if step_rule == "relaxed":
         trainer["relaxed_constants"] = {"m": draw(scales), "r1": draw(scales), "r2": draw(scales)}
     return {

@@ -14,7 +14,6 @@ from rlvrlab.policy import (
     FeatureSet,
     batch_stats,
     hessian_matrix,
-    hessian_norm,
     hessian_norms,
     hessian_quadratic_form,
     policy_gradient,
@@ -22,7 +21,7 @@ from rlvrlab.policy import (
     spectral_norm,
 )
 from rlvrlab.rng import stream_rng
-from rlvrlab.trainers import _step, grpo_step
+from rlvrlab.trainers import TrainerConfig, _step
 
 from conftest import (
     make_random_instance,
@@ -110,9 +109,9 @@ class TestBatchStats:
             assert b.success[i] == success and b.variance[i] == variance
             assert np.array_equal(b.grads[i], g)
             assert b.grad_sq[i] == float(g @ g)
-            for s in (b.prompt(i), prompt_stats(fs, theta, i)):
-                assert np.array_equal(s.probs, probs)
-                assert (s.success, s.variance, s.objective) == (success, variance, success)
+            s = prompt_stats(fs, theta, i)
+            assert np.array_equal(s.probs, probs)
+            assert (s.success, s.variance, s.objective) == (success, variance, success)
             assert np.array_equal(policy_gradient(fs, theta, i), g)
             X = fs.features[i]
             assert np.array_equal(hessian_matrix(fs, theta, i), X.T @ reference_hessian_inner(fs, theta, i) @ X)
@@ -243,16 +242,16 @@ class TestPolicyGradient:
 
 
 class TestGrpoGradient:
-    """The variance-normalized gradient that grpo_step ascends, and the clamp
-    flag of trainers._step."""
+    """The variance-normalized gradient that a GRPO step ascends, and the
+    clamp flag of trainers._step."""
 
     @staticmethod
     def normalized(fs, theta, i, eps_floor=DEFAULT_EPS_FLOOR):
-        """(grpo_step's direction at eta = 1, whether _step's clamp fired)."""
+        """(the GRPO step's direction at eta = 1, whether _step's clamp fired)."""
         grad = policy_gradient(fs, theta, i)
         variance = prompt_stats(fs, theta, i).variance
-        _, eta_eff, _, clamped = _step("grpo", theta, grad, 1.0, variance, eps_floor)
-        assert np.array_equal(grpo_step(theta, fs, i, 1.0, eps_floor), theta + eta_eff * grad)
+        theta_new, eta_eff, _, clamped = _step("grpo", theta, grad, 1.0, variance, eps_floor)
+        assert np.array_equal(theta_new, theta + eta_eff * grad)
         return eta_eff * grad, clamped
 
     def test_doubles_gradient_at_uniform(self, identity_pair):
@@ -290,10 +289,10 @@ class TestGrpoGradient:
                 assert scale > 0
                 np.testing.assert_allclose(vector, scale * raw, rtol=1e-12)
 
-    def test_eps_floor_must_be_positive(self, identity_pair):
-        for eps_floor in (0.0, -1e-8):
-            with pytest.raises(ValueError):
-                grpo_step(np.zeros(2), identity_pair, 0, 1.0, eps_floor=eps_floor)
+    def test_eps_floor_must_be_positive(self):
+        for eps_floor in (0.0, -1e-8, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps_floor must be finite and positive"):
+                TrainerConfig(algorithm="grpo", horizon=1, seed=0, eps_floor=eps_floor)
 
 
 class TestHessian:
@@ -350,14 +349,14 @@ class TestHessian:
         fs = FeatureSet(features=tuple(features), correct=rng.integers(0, K, size=n))
         theta = rng.standard_normal(d) * 10.0**log_scale
         for i in range(n):
-            hn = hessian_norm(fs, theta, i)
+            hn = hessian_norms(fs, [theta], [i])[0]
             H = hessian_matrix(fs, theta, i)
             # abs: doubles below ~1e-300 keep too few significant bits for rel
             assert hn == pytest.approx(spectral_norm(H), rel=1e-12, abs=1e-300)
             if d <= 20:
                 assert hn == pytest.approx(eig_spectral_norm(H), rel=1e-10, abs=1e-300)
         if zero_prompt:
-            assert hessian_norm(fs, theta, 0) == 0.0
+            assert hessian_norms(fs, [theta], [0])[0] == 0.0
 
 
 class TestHessianNorms:
@@ -383,7 +382,6 @@ class TestHessianNorms:
         want = np.array([reference_hessian_norm(fs, thetas[k], int(prompts[k])) for k in range(m)])
         assert np.array_equal(hessian_norms(fs, thetas, prompts), want)
         assert np.array_equal(hessian_norms(fs, thetas[:1], prompts[:1]), want[:1])
-        assert hessian_norm(fs, thetas[0], int(prompts[0])) == want[0]
 
     def test_one_qr_per_distinct_prompt(self, monkeypatch):
         fs = FeatureSet(features=(np.eye(3), 2.0 * np.eye(3), np.ones((3, 3))), correct=[0, 1, 2])
@@ -402,7 +400,7 @@ class TestHessianNorms:
             with pytest.raises(IndexError):
                 hessian_norms(fs, np.zeros((len(prompts), 2)), prompts)
             with pytest.raises(IndexError):
-                hessian_norm(fs, np.zeros(2), prompts[-1])
+                hessian_norms(fs, [np.zeros(2)], [prompts[-1]])
         for prompts in ([0.0], [[0]]):
             with pytest.raises(ValueError):
                 hessian_norms(fs, np.zeros((1, 2)), prompts)
@@ -410,17 +408,17 @@ class TestHessianNorms:
             with pytest.raises(ValueError):
                 hessian_norms(fs, thetas, [0])
         with pytest.raises(ValueError):
-            hessian_norm(fs, np.zeros(3), 0)
+            hessian_norms(fs, [np.zeros(3)], [0])
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
                 hessian_norms(fs, np.array([[0.0, bad]]), [0])
             with pytest.raises(ValueError):
-                hessian_norm(fs, np.array([bad, 0.0]), 0)
+                hessian_norms(fs, [np.array([bad, 0.0])], [0])
         huge = FeatureSet(features=(np.array([[1e300], [0.0]]), np.ones((2, 1))), correct=[0, 1])
         with pytest.raises(FloatingPointError):
             hessian_norms(huge, np.array([[0.0], [1e10]]), [1, 0])
         with pytest.raises(FloatingPointError):
-            hessian_norm(huge, np.array([1e10]), 0)
+            hessian_norms(huge, [np.array([1e10])], [0])
 
 
 class TestSpectralNorm:

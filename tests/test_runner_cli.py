@@ -292,6 +292,32 @@ class TestCli:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "horizon" in capsys.readouterr().err
 
+    # grpo on a one-dimensional shared-coordinate instance from theta0 = [1000],
+    # where the reward variance rounds to zero and a NaN eps_floor once
+    # reached a division by zero in the loop
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["trainer.eps_floor", "trainer.eta", "scenario.theta0.values"])
+    def test_non_finite_config_value_exit_two(self, tmp_path, capsys, field, value):
+        raw = {
+            "scenario": {"generator": "random_features", "params": {"n": 2, "K": 2, "d": 1, "overlap": 0.5},
+                         "theta0": {"kind": "values", "values": [1000.0]}},
+            "trainer": {"algorithm": "grpo", "horizon": 20, "seed": 0},
+        }
+        if field == "trainer.eps_floor":
+            raw["trainer"]["eps_floor"] = value
+        elif field == "trainer.eta":
+            raw["trainer"].update(step_rule="manual", eta=value)
+        else:
+            raw["scenario"]["theta0"]["values"] = [value]
+        cfg = str(self.write_config(tmp_path, raw))
+        for argv in (["run", "--config", cfg, "--out", str(tmp_path / "out")],
+                     ["diagnose", "--config", cfg],
+                     ["sweep", "--config", cfg, "--seeds", "0,1", "--out", str(tmp_path / "sw")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert field.split(".")[-1] in err
+
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,21 @@ def test_every_traced_benchmark_target_resolves():
     for target in targets:
         module, function = target.split(".")
         assert callable(getattr(importlib.import_module(f"rlvrlab.{module}"), function, None)), target
+
+
+def test_every_exported_name_resolves():
+    """Every `__all__` entry of every rlvrlab module, and every name the
+    package's __init__ imports, is bound: a deleted function leaves no stale
+    export behind."""
+    for module in pkgutil.iter_modules(rlvrlab.__path__):
+        mod = importlib.import_module(f"rlvrlab.{module.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"rlvrlab.{module.name}.{name}"
+    init = ast.parse(Path(rlvrlab.__file__).read_text())
+    imported = [alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert imported
+    for name in imported:
+        assert hasattr(rlvrlab, name), name
 
 
 IMPORT_EVERY_MODULE = """

@@ -29,10 +29,9 @@ from rlvrlab.trainers import (
     _loop_trajectory,
     _prompt_draws,
     _replayed,
+    _step,
     cumulative_bound_check,
-    grpo_step,
     per_step_bound,
-    reinforce_step,
     run_trajectory,
     select_prompt,
     step_size,
@@ -88,8 +87,9 @@ class TestStepSize:
             TrainerConfig(algorithm="sgd", horizon=1, seed=0)
         with pytest.raises(ValueError):
             TrainerConfig(algorithm="grpo", horizon=0, seed=0)
-        with pytest.raises(ValueError):
-            TrainerConfig(algorithm="grpo", horizon=1, seed=0, step_rule="manual", eta=-1.0)
+        for eta in (None, 0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite eta > 0"):
+                TrainerConfig(algorithm="grpo", horizon=1, seed=0, step_rule="manual", eta=eta)
         with pytest.raises(ValueError):
             TrainerConfig(algorithm="grpo", horizon=1, seed=0, step_rule="relaxed")
         # ratio bounds below 1 could shrink the step-size denominator to 0
@@ -152,8 +152,11 @@ class TestSelectPrompt:
 
 
 class TestSteps:
+    """_step, the update rule _loop applies, on policy_gradient and the
+    prompt_stats variance of one prompt."""
+
     def test_reinforce_hand_step(self, identity_fs):
-        theta = reinforce_step(np.zeros(2), identity_fs, 0, eta=1.0)
+        theta = _step("reinforce", np.zeros(2), policy_gradient(identity_fs, np.zeros(2), 0), 1.0)[0]
         np.testing.assert_allclose(theta, [0.25, -0.25])
 
     def test_reinforce_fixed_point_at_zero_gradient(self):
@@ -161,11 +164,12 @@ class TestSteps:
         # probability sums
         fs = FeatureSet(features=(np.tile([1.0, 2.0], (3, 1)),), correct=[0])
         theta0 = np.array([0.3, -0.7])
-        np.testing.assert_allclose(reinforce_step(theta0, fs, 0, eta=1.0), theta0, rtol=0, atol=1e-15)
+        theta1 = _step("reinforce", theta0, policy_gradient(fs, theta0, 0), 1.0)[0]
+        np.testing.assert_allclose(theta1, theta0, rtol=0, atol=1e-15)
 
     def test_reinforce_improvement_bound(self, identity_fs):
         theta0 = np.zeros(2)
-        theta1 = reinforce_step(theta0, identity_fs, 0, eta=1.0)
+        theta1 = _step("reinforce", theta0, policy_gradient(identity_fs, theta0, 0), 1.0)[0]
         j0 = prompt_stats(identity_fs, theta0, 0).objective
         j1 = prompt_stats(identity_fs, theta1, 0).objective
         grad_sq = float(np.sum(policy_gradient(identity_fs, theta0, 0) ** 2))
@@ -187,20 +191,23 @@ class TestSteps:
             expected = theta + eta * (
                 stats.success * (1.0 - stats.success) * X[a] - stats.success * wrong
             )
-            np.testing.assert_allclose(reinforce_step(theta, ortho_fs, i, eta), expected, atol=1e-14)
+            got = _step("reinforce", theta, policy_gradient(ortho_fs, theta, i), eta)[0]
+            np.testing.assert_allclose(got, expected, atol=1e-14)
 
     def test_grpo_hand_step(self, identity_fs):
-        theta = grpo_step(np.zeros(2), identity_fs, 0, eta=0.5)
+        theta0 = np.zeros(2)
+        grad, variance = policy_gradient(identity_fs, theta0, 0), prompt_stats(identity_fs, theta0, 0).variance
+        theta = _step("grpo", theta0, grad, 0.5, variance)[0]
         np.testing.assert_allclose(theta, [0.25, -0.25])
 
     def test_grpo_improvement_bound_and_ball(self, identity_fs):
         theta0 = np.zeros(2)
         eta = 0.5  # 1 / (2 x_max^2)
-        theta1 = grpo_step(theta0, identity_fs, 0, eta=eta)
+        v0 = prompt_stats(identity_fs, theta0, 0).variance
+        theta1 = _step("grpo", theta0, policy_gradient(identity_fs, theta0, 0), eta, v0)[0]
         j0 = prompt_stats(identity_fs, theta0, 0).objective
         j1 = prompt_stats(identity_fs, theta1, 0).objective
         grad_sq = float(np.sum(policy_gradient(identity_fs, theta0, 0) ** 2))
-        v0 = prompt_stats(identity_fs, theta0, 0).variance
         assert j1 - j0 >= 3.0 * grad_sq / (16.0 * identity_fs.x_max**2 * math.sqrt(v0))
         displacement = float(np.linalg.norm(theta1 - theta0))
         assert displacement == pytest.approx(0.25 * math.sqrt(2.0), abs=1e-12)
@@ -221,7 +228,8 @@ class TestSteps:
             expected = theta + eta * (
                 math.sqrt(p * (1.0 - p)) * X[a] - math.sqrt(p / (1.0 - p)) * wrong
             )
-            np.testing.assert_allclose(grpo_step(theta, ortho_fs, i, eta), expected, atol=1e-14)
+            got = _step("grpo", theta, policy_gradient(ortho_fs, theta, i), eta, stats.variance)[0]
+            np.testing.assert_allclose(got, expected, atol=1e-14)
 
     def test_grpo_ball_containment_along_run(self, ortho_fs):
         cfg = TrainerConfig(algorithm="grpo", horizon=300, seed=3)
@@ -537,8 +545,6 @@ def assert_same_log(got, want):
     assert [t for t, _ in got.theta_checkpoints] == [t for t, _ in want.theta_checkpoints]
     for (_, a), (_, b) in zip(got.theta_checkpoints, want.theta_checkpoints):
         assert np.array_equal(a, b)
-    for a, b in zip(got.initial_stats, want.initial_stats):
-        assert a.probs.tobytes() == b.probs.tobytes() and (a.success, a.variance) == (b.success, b.variance)
 
 
 def block_instance(rng, n, K, unowned, empty_prompt):
@@ -605,7 +611,7 @@ def test_round_replay_matches_general_loop(trainer_seed, checkpoint_cadence, **c
 def writable_arrays(log):
     """Every array a log hands out that a caller could write to."""
     arrays = [getattr(log, f.name) for f in fields(TrajectoryLog)]
-    arrays += [theta for _, theta in log.theta_checkpoints] + [s.probs for s in log.initial_stats]
+    arrays += [theta for _, theta in log.theta_checkpoints]
     return [a for a in arrays if isinstance(a, np.ndarray) and a.flags.writeable]
 
 
