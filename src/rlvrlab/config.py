@@ -70,7 +70,10 @@ def _get(block: dict, key: str, kind, path: str, default=_REQUIRED):
         return default
     value = block[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            _fail(f"{path}.{key}", "integer is beyond double range")
     if kind is not None and not isinstance(value, kind):
         _fail(f"{path}.{key}", f"expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}")
     return value
@@ -234,6 +237,8 @@ def parse_config(path) -> ExperimentConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # text that is not UTF-8, or an integer literal too long for int()
+        raise ConfigError(f"{path}: {exc}") from None
     return parse_config_dict(raw)
 
 

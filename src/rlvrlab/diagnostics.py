@@ -10,13 +10,14 @@ how far an instance is from the assumptions, including "not at all".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .policy import FeatureSet, _batch_probs, batch_stats, hessian_norms
+from .policy import BatchStats, FeatureSet, _batch_probs, batch_stats, hessian_norms
 from .trainers import TrajectoryLog
 
 __all__ = [
@@ -65,40 +66,31 @@ def pairwise_grad_cosines(fs: FeatureSet, theta: np.ndarray) -> CosineReport:
     statistics and counted.  When no pair survives, the report is flagged
     empty and the statistics are NaN.
     """
+    return _cosines(fs, batch_stats(fs, theta))
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a[k] @ b[k] by stacked (1 x m) @ (m x 1) matmuls, which round as a[k] @ b[k]."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _cosines(fs: FeatureSet, stats: BatchStats) -> CosineReport:
     if fs.n < 2:
         raise ValueError("need at least two prompts for pairwise cosines")
-    stats = batch_stats(fs, theta)
-    grads = stats.grads
     norms = np.sqrt(stats.grad_sq)
-    pair_i, pair_j, cos = [], [], []
-    excluded = 0
-    for i in range(fs.n):
-        for j in range(i + 1, fs.n):
-            denom = norms[i] * norms[j]
-            if denom == 0.0:
-                excluded += 1
-                continue
-            pair_i.append(i)
-            pair_j.append(j)
-            cos.append(float(grads[i] @ grads[j]) / denom)
-    cos = np.array(cos)
-    if cos.size == 0:
-        return CosineReport(
-            mean=math.nan, std=math.nan, frac_positive=math.nan,
-            frac_abs_below_0p1=math.nan, n_pairs=0, n_excluded=excluded,
-            pair_i=np.array(pair_i, dtype=int), pair_j=np.array(pair_j, dtype=int),
-            cosines=cos, empty=True,
-        )
+    pair_i, pair_j = np.nonzero(np.triu(np.ones((fs.n, fs.n), dtype=bool), 1))
+    denom = norms[pair_i] * norms[pair_j]
+    keep = denom != 0.0
+    pair_i, pair_j = pair_i[keep], pair_j[keep]
+    cos = _dots(stats.grads[pair_i], stats.grads[pair_j]) / denom[keep]
+    empty = cos.size == 0
+    mean, std, frac_positive, frac_small = (math.nan,) * 4 if empty else (
+        float(cos.mean()), float(cos.std()), float((cos > 0).mean()), float((np.abs(cos) < 0.1).mean())
+    )
     return CosineReport(
-        mean=float(cos.mean()),
-        std=float(cos.std()),
-        frac_positive=float((cos > 0).mean()),
-        frac_abs_below_0p1=float((np.abs(cos) < 0.1).mean()),
-        n_pairs=cos.size,
-        n_excluded=excluded,
-        pair_i=np.array(pair_i, dtype=int),
-        pair_j=np.array(pair_j, dtype=int),
-        cosines=cos,
+        mean=mean, std=std, frac_positive=frac_positive, frac_abs_below_0p1=frac_small,
+        n_pairs=cos.size, n_excluded=int(keep.size - cos.size),
+        pair_i=pair_i, pair_j=pair_j, cosines=cos, empty=empty,
     )
 
 
@@ -123,61 +115,44 @@ class MBoundReport:
     n_vacuous: int = 0
 
 
+def m_bound(fs: FeatureSet, theta: np.ndarray, tol: float = M_VACUOUS_TOL) -> MBoundReport:
+    return _m_bound(fs, batch_stats(fs, theta), tol)
+
+
 # |X_i grad_j|^2 grows like x_max^4: an overflow is a numerical abort, not an
 # infinite m_hat.
 @np.errstate(over="raise")
-def m_bound(fs: FeatureSet, theta: np.ndarray, tol: float = M_VACUOUS_TOL) -> MBoundReport:
+def _m_bound(fs: FeatureSet, stats: BatchStats, tol: float = M_VACUOUS_TOL) -> MBoundReport:
+    """m_bound over the ordered pairs i != j in row-major order, each step one
+    stacked operation over the pairs that reach it."""
     if fs.n < 2:
         raise ValueError("need at least two prompts")
-    grads = batch_stats(fs, theta).grads
-    best = 0.0
-    worst_pair = None
-    violations = []
-    n_candidates = 0
-    n_vacuous = 0
-    for i in range(fs.n):
-        norm = fs.x_norms[i]
-        if norm == 0.0:
-            # an all-zero prompt: X_i grad_j = 0, so each of its requirements is vacuous
-            n_vacuous += fs.n - 1
-            continue
-        norm_sq = norm**2
-        for j in range(fs.n):
-            if i == j:
-                continue
-            proj = fs.features[i] @ grads[j]
-            if norm_sq > 0.0:
-                rhs = float(proj @ proj) / norm_sq
-            else:
-                # the square of a tiny nonzero norm underflows: scale first
-                scaled = proj / norm
-                rhs = float(scaled @ scaled)
-            if rhs <= tol:
-                n_vacuous += 1
-                continue
-            inner = float(grads[i] @ grads[j])
-            if inner <= 0.0:
-                violations.append((i, j))
-                continue
-            n_candidates += 1
-            candidate = rhs / inner
-            if candidate > best:
-                best = candidate
-                worst_pair = (i, j)
-    if violations:
-        return MBoundReport(
-            status="violated", m_hat=math.nan, worst_pair=worst_pair,
-            violations=violations, n_candidates=n_candidates, n_vacuous=n_vacuous,
-        )
-    if n_candidates == 0:
-        return MBoundReport(
-            status="vacuous", m_hat=0.0, worst_pair=None,
-            n_candidates=0, n_vacuous=n_vacuous,
-        )
-    return MBoundReport(
-        status="ok", m_hat=best, worst_pair=worst_pair,
-        n_candidates=n_candidates, n_vacuous=n_vacuous,
-    )
+    grads, norm = stats.grads, fs.x_norms
+    # an all-zero prompt: X_i grad_j = 0, so each of its requirements is vacuous
+    n_vacuous = int((norm == 0.0).sum()) * (fs.n - 1)
+    pi, pj = np.nonzero((norm != 0.0)[:, None] & ~np.eye(fs.n, dtype=bool))
+    proj = np.matmul(fs.stacked[pi], grads[pj][:, :, None])[:, :, 0]
+    norm_sq = norm[pi] ** 2
+    # the square of a tiny nonzero norm underflows: scale first (x / 1.0 is exact)
+    tiny = norm_sq == 0.0
+    proj = proj / np.where(tiny, norm[pi], 1.0)[:, None]
+    rhs = _dots(proj, proj) / np.where(tiny, 1.0, norm_sq)
+    live = ~(rhs <= tol)
+    n_vacuous += int((~live).sum())
+    pi, pj, rhs = pi[live], pj[live], rhs[live]
+    inner = _dots(grads[pi], grads[pj])
+    bad = inner <= 0.0
+    violations = list(zip(pi[bad].tolist(), pj[bad].tolist()))
+    pi, pj = pi[~bad], pj[~bad]
+    candidates = rhs[~bad] / inner[~bad]
+    # the first strict maximum over best = 0 (the leading entry), which NaN and
+    # nonpositive candidates never beat
+    gains = np.concatenate([[0.0], np.where(candidates > 0.0, candidates, 0.0)])
+    k = int(np.argmax(gains))
+    worst_pair = (int(pi[k - 1]), int(pj[k - 1])) if k else None
+    status = "violated" if violations else ("ok" if candidates.size else "vacuous")
+    m_hat = {"violated": math.nan, "ok": float(gains[k]), "vacuous": 0.0}[status]
+    return MBoundReport(status, m_hat, worst_pair, violations, int(candidates.size), n_vacuous)
 
 
 @dataclass
@@ -198,7 +173,10 @@ def scale_regularity(fs: FeatureSet, theta: np.ndarray) -> ScaleReport:
     Prompts with a zero denominator are flagged and make the affected ratio
     infinite instead of raising.
     """
-    stats = batch_stats(fs, theta)
+    return _scales(batch_stats(fs, theta))
+
+
+def _scales(stats: BatchStats) -> ScaleReport:
     grad_norms = np.sqrt(stats.grad_sq)
     sds = np.sqrt(stats.variance)
     zero_grad = [int(i) for i in np.flatnonzero(grad_norms == 0.0)]
@@ -331,15 +309,11 @@ def curvature_variance_correlation(
     curvature = hessian_norms(fs, [theta] * fs.n, np.arange(fs.n))
     variances = batch_stats(fs, theta).variance
     h = fisher_diag_proxy(fs, theta, B, rng)
-    if np.ptp(variances) == 0.0 or np.ptp(curvature) == 0.0:
-        return FisherReport(
-            h=h, batch_size=B, pearson_r=math.nan, p_value=math.nan,
-            curvature=curvature, variances=variances, constant_variance=True,
-        )
-    r_obs, p = _permutation_test(curvature, variances, rng, n_permutations)
+    constant = bool(np.ptp(variances) == 0.0 or np.ptp(curvature) == 0.0)
+    r_obs, p = (math.nan, math.nan) if constant else _permutation_test(curvature, variances, rng, n_permutations)
     return FisherReport(
         h=h, batch_size=B, pearson_r=r_obs, p_value=p,
-        curvature=curvature, variances=variances,
+        curvature=curvature, variances=variances, constant_variance=constant,
     )
 
 
@@ -409,40 +383,61 @@ def lemma_bound_report(
     sqrt(V)/x_max against (5/2) x_max^2 sqrt(V).
 
     The ball points are drawn prompt by prompt, and one hessian_norms call
-    then evaluates theta and every ball point of every prompt.
+    then evaluates theta and every ball point of every prompt.  Without an
+    rng the draws are those of a fresh default_rng(0), a function of
+    (n, d, ball_samples) alone, and are drawn once and kept.
     """
-    rng = rng or np.random.default_rng(0)
+    return _lemma_rows(fs, theta, batch_stats(fs, theta), rng, ball_samples)
+
+
+def _ball_draws(rng: np.random.Generator, n: int, d: int, ball_samples: int):
+    """The n * ball_samples ball draws in draw order, read-only: directions u
+    (rows of U), radial factors uniform() ** (1/d) and norms |u|."""
+    m = n * ball_samples
+    U, w, u_norm = np.empty((m, d)), np.empty(m), np.empty(m)
+    for k in range(m):
+        u = rng.standard_normal(out=U[k])
+        w[k] = rng.uniform() ** (1.0 / d)
+        # math.sqrt(u @ u) is np.linalg.norm(u) bit for bit, without its Python overhead
+        u_norm[k] = math.sqrt(u @ u)
+    for a in (U, w, u_norm):
+        a.flags.writeable = False
+    return U, w, u_norm
+
+
+@functools.lru_cache(maxsize=1)
+def _default_ball(n: int, d: int, ball_samples: int):
+    return _ball_draws(np.random.default_rng(0), n, d, ball_samples)
+
+
+def _lemma_rows(fs: FeatureSet, theta, stats: BatchStats, rng=None, ball_samples: int = 16):
     xsq = fs.x_max**2
-    stats = batch_stats(fs, theta)
-    points = []
-    for i in range(fs.n):
-        radius = math.sqrt(float(stats.variance[i])) / fs.x_max
-        points.append(theta)
-        for _ in range(ball_samples):
-            u = rng.standard_normal(fs.d)
-            # math.sqrt(u @ u) is np.linalg.norm(u) bit for bit, without its Python overhead
-            u *= radius * rng.uniform() ** (1.0 / fs.d) / math.sqrt(u @ u)
-            points.append(theta + u)
-    per_prompt = 1 + ball_samples
-    norms = hessian_norms(fs, points, np.repeat(np.arange(fs.n), per_prompt)).reshape(fs.n, per_prompt)
-    rows = []
-    for i in range(fs.n):
-        v = float(stats.variance[i])
-        # column 0 is theta itself; max() keeps the sample loop's comparison order
-        ball = norms[i].tolist()
-        rows.append(
-            LemmaBoundRow(
-                prompt=i,
-                grad_norm=float(np.sqrt(stats.grad_sq[i])),
-                hess_norm=ball[0],
-                # xsq times the variance factor first: 4 xsq alone overflows
-                # for x_max near 1e154, and would give inf * 0 at v = 0
-                bound_hess_4v=4.0 * (xsq * v),
-                bound_hess_sharp=(2.0 * math.sqrt(2.0) + 1.0) * (xsq * v),
-                bound_grad_local=2.0 * float(fs.x_norms[i]) * v,
-                bound_grad_global=0.5 * fs.x_max,
-                ball_hess_max=max(ball),
-                bound_ball=2.5 * (xsq * math.sqrt(v)),
-            )
+    radius = np.array([math.sqrt(v) / fs.x_max for v in stats.variance.tolist()])
+    draws = _default_ball if rng is None else functools.partial(_ball_draws, rng)
+    U, w, u_norm = draws(fs.n, fs.d, ball_samples)
+    shape = (fs.n, ball_samples)
+    # (radius * w) / |u| as the per-draw Python floats round it, which overflow to inf silently
+    with np.errstate(over="ignore"):
+        scale = (radius[:, None] * w.reshape(shape)) / u_norm.reshape(shape)
+    points = np.empty((fs.n, 1 + ball_samples, fs.d))
+    points[:, 0] = theta
+    points[:, 1:] = theta + U.reshape(*shape, fs.d) * scale[:, :, None]
+    norms = hessian_norms(fs, points.reshape(-1, fs.d), np.repeat(np.arange(fs.n), 1 + ball_samples))
+    norms = norms.reshape(fs.n, 1 + ball_samples)
+    # column 0 is theta itself; max() keeps the sample loop's comparison order
+    return [
+        LemmaBoundRow(
+            prompt=i,
+            grad_norm=float(np.sqrt(stats.grad_sq[i])),
+            hess_norm=ball[0],
+            # xsq times the variance factor first: 4 xsq alone overflows
+            # for x_max near 1e154, and would give inf * 0 at v = 0
+            bound_hess_4v=4.0 * (xsq * v),
+            bound_hess_sharp=(2.0 * math.sqrt(2.0) + 1.0) * (xsq * v),
+            bound_grad_local=2.0 * float(fs.x_norms[i]) * v,
+            bound_grad_global=0.5 * fs.x_max,
+            ball_hess_max=max(ball),
+            bound_ball=2.5 * (xsq * math.sqrt(v)),
         )
-    return rows
+        for i, (v, ball) in enumerate(zip(stats.variance.tolist(), norms.tolist()))
+    ]

@@ -19,12 +19,7 @@ import numpy as np
 
 from .config import ExperimentConfig, build_instance
 from .diagnostics import (
-    c_constant,
-    lemma_bound_report,
-    m_bound,
-    pairwise_grad_cosines,
-    phase_classify,
-    scale_regularity,
+    _cosines, _lemma_rows, _m_bound, _scales, c_constant, pairwise_grad_cosines, phase_classify,
 )
 from .policy import FeatureSet, batch_stats
 from .svgplot import line_plot
@@ -196,8 +191,9 @@ def run_experiment(
     if seed_override is not None:
         cfg = replace(cfg, trainer=replace(cfg.trainer, seed=seed_override))
     formats = tuple(formats_override) if formats_override is not None else cfg.formats
-    out = _writable(_resolve_out_dir(cfg.output_dir if out_dir is None else out_dir))
+    # built first, so that a config error leaves no output directory behind
     fs, theta0 = build_instance(cfg)
+    out = _writable(_resolve_out_dir(cfg.output_dir if out_dir is None else out_dir))
     return _run_instance(cfg, fs, theta0, out, formats)
 
 
@@ -320,11 +316,11 @@ def run_sweep(cfg: ExperimentConfig, seeds, algorithms=ALGORITHMS, out_dir=None)
         for k, value in enumerate(values):
             if value in values[:k]:
                 raise ValueError(f"sweep {what} {value!r} is repeated")
+    # the sub-configs differ only in trainer and snapshot cadence; built
+    # first, so that a config error leaves no output directory behind
+    fs, theta0 = build_instance(cfg)
     out = _resolve_out_dir(cfg.output_dir if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    # the sub-configs differ only in trainer and snapshot cadence
-    fs, theta0 = build_instance(cfg)
     runs: dict[tuple[str, int], RunResult] = {}
     for alg in algorithms:
         sub_cfgs = [
@@ -414,12 +410,14 @@ def diagnose_report(fs: FeatureSet, theta: np.ndarray, log: Optional[TrajectoryL
     """Full assumption audit plus the per-prompt lemma-bound slack table.
 
     The realized C(T) needs a finished trajectory and stays None without one.
+    Every part reads one batch_stats evaluation at theta.
     """
-    cosines = pairwise_grad_cosines(fs, theta)
-    mb = m_bound(fs, theta)
-    scales = scale_regularity(fs, theta)
+    stats = batch_stats(fs, theta)
+    cosines = _cosines(fs, stats)
+    mb = _m_bound(fs, stats)
+    scales = _scales(stats)
     c_of_t = None if log is None else c_constant(log)[1]
-    rows = lemma_bound_report(fs, theta)
+    rows = _lemma_rows(fs, theta, stats)
     return {
         "assumptions": {
             "cos_mean": cosines.mean,

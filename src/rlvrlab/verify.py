@@ -148,20 +148,17 @@ def c2_hessian_consistency(_work: Path) -> CriterionResult:
     )
 
 
-def _lemma_sweep(seed: int, check) -> tuple[int, int]:
-    """Run `check(fs, theta, i)` over 1e4 random (instance, theta) samples."""
+def _lemma_sweep(seed: int, check, judge=None) -> tuple[int, int]:
+    """Failures among 1e4 random (instance, theta) samples, ten per instance.
+    `check(fs, theta, rng)` makes a sample's draws and returns its pass flag,
+    or a value that `judge(fs, values)` maps, per instance, to pass flags."""
     rng = stream_rng(seed, SCENARIO_STREAM)
-    violations = 0
-    samples = 0
+    violations = samples = 0
     while samples < 10_000:
         fs = _normalized_instance(rng, 3, 6, 16)
-        for _ in range(10):
-            theta = rng.uniform(-3.0, 3.0, size=fs.d)
-            if not check(fs, theta, rng):
-                violations += 1
-            samples += 1
-            if samples >= 10_000:
-                break
+        values = [check(fs, rng.uniform(-3.0, 3.0, size=fs.d), rng) for _ in range(min(10, 10_000 - samples))]
+        violations += sum(not ok for ok in (judge(fs, values) if judge else values))
+        samples += len(values)
     return violations, samples
 
 
@@ -215,10 +212,14 @@ def c5_local_smoothness_ball(_work: Path) -> CriterionResult:
         radius = math.sqrt(v) / fs.x_max
         u = rng.standard_normal(fs.d)
         u *= radius * rng.uniform() ** (1.0 / fs.d) / np.linalg.norm(u)
-        hn = float(hessian_norms(fs, [theta + u], [i])[0])
-        return _within(hn, 2.5 * fs.x_max**2 * math.sqrt(v))
+        return i, theta + u, 2.5 * fs.x_max**2 * math.sqrt(v)
 
-    violations, samples = _lemma_sweep(105, check)
+    def judge(fs, values):
+        # no draw depends on a norm, so one call evaluates an instance's ball points
+        prompts, points, bounds = zip(*values)
+        return map(_within, hessian_norms(fs, points, prompts).tolist(), bounds)
+
+    violations, samples = _lemma_sweep(105, check, judge)
     a_star, f_max = grid_max_f(100_000)
     f_case = local_smoothness_envelope(0.5 - math.sqrt(5.0) / 10.0)
     envelope_ok = (

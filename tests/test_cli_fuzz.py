@@ -3,9 +3,11 @@
 `diagnose` reads generated instance files (feature magnitudes from 1e-300 to
 1e300, bad headers, truncated rows) and theta files; `run` reads generated
 configs with horizons up to 50 (NaN and infinite eps_floor, eta and theta0
-values among them), and `sweep` reads the same configs with generated seed
-and algorithm lists.  Every call must return 0, 2, 3, 4 or 5,
-and a sweep that repeats a seed or an algorithm, or names no algorithm, 2.
+values, and integer eps_floor values beyond double range, among them), and
+`sweep` reads the same configs with generated seed and algorithm lists.
+Every call must return 0, 2, 3, 4 or 5, and a sweep that repeats a seed or
+an algorithm, or names no algorithm, 2.  A `run` or `sweep` that exits 2
+leaves no output directory.
 """
 
 import json
@@ -80,6 +82,8 @@ def test_diagnose_generated_inputs_end_in_an_exit_code(data):
 scales = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 300))
 # json.dumps writes these as NaN, Infinity and -Infinity, which parse_config reads
 non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+# JSON integers that float() cannot convert (json.dumps writes up to 4300 digits)
+huge_ints = st.builds(lambda sign, e: sign * 10**e, st.sampled_from([-1, 1]), st.integers(309, 4000))
 
 
 @st.composite
@@ -102,7 +106,7 @@ def configs(draw, tmp: Path):
     step_rule = draw(st.sampled_from(["theorem_default", "manual", "relaxed"]))
     trainer = {"algorithm": draw(st.sampled_from(["reinforce", "grpo"])),
                "horizon": draw(st.integers(1, 50)), "seed": draw(st.integers(0, 2**32)),
-               "step_rule": step_rule, "eps_floor": draw(st.one_of(scales, non_finite))}
+               "step_rule": step_rule, "eps_floor": draw(st.one_of(scales, non_finite, huge_ints))}
     if step_rule == "manual":
         trainer["eta"] = draw(st.one_of(scales, non_finite))
     if step_rule == "relaxed":
@@ -122,7 +126,10 @@ def test_run_generated_configs_end_in_an_exit_code(data):
         tmp = Path(tmp)
         config = tmp / "config.json"
         config.write_text(json.dumps(data.draw(configs(tmp))))
-        assert main(["run", "--config", str(config), "--out", str(tmp / "out")]) in EXIT_CODES
+        code = main(["run", "--config", str(config), "--out", str(tmp / "out")])
+        assert code in EXIT_CODES
+        if code == 2:
+            assert not (tmp / "out").exists()
 
 
 # "--seeds -1,2" reads as an option, so argparse itself rejects it with exit 2.
@@ -171,3 +178,5 @@ def test_sweep_generated_inputs_end_in_an_exit_code(data):
         assert code in EXIT_CODES
         if _repeats_a_run(seeds, algorithms):
             assert code == 2
+        if code == 2:
+            assert not (tmp / "out").exists()

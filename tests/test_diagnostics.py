@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlvrlab.diagnostics import (
+    M_VACUOUS_TOL,
+    CosineReport,
     LemmaBoundRow,
+    MBoundReport,
+    _default_ball,
     _pearson,
     _permutation_test,
     c_constant,
@@ -122,6 +126,174 @@ class TestMBound:
         rep = m_bound(fs, np.zeros(2))
         assert rep.status == "ok" and rep.worst_pair == (1, 0)
         assert rep.m_hat == pytest.approx(1e182, rel=1e-12)
+
+
+def reference_pairwise_grad_cosines(fs, theta) -> CosineReport:
+    """pairwise_grad_cosines as one Python loop over the pairs i < j."""
+    if fs.n < 2:
+        raise ValueError("need at least two prompts for pairwise cosines")
+    stats = batch_stats(fs, theta)
+    grads = stats.grads
+    norms = np.sqrt(stats.grad_sq)
+    pair_i, pair_j, cos = [], [], []
+    excluded = 0
+    for i in range(fs.n):
+        for j in range(i + 1, fs.n):
+            denom = norms[i] * norms[j]
+            if denom == 0.0:
+                excluded += 1
+                continue
+            pair_i.append(i)
+            pair_j.append(j)
+            cos.append(float(grads[i] @ grads[j]) / denom)
+    cos = np.array(cos)
+    pair_i, pair_j = np.array(pair_i, dtype=int), np.array(pair_j, dtype=int)
+    if cos.size == 0:
+        return CosineReport(
+            mean=math.nan, std=math.nan, frac_positive=math.nan, frac_abs_below_0p1=math.nan,
+            n_pairs=0, n_excluded=excluded, pair_i=pair_i, pair_j=pair_j, cosines=cos, empty=True,
+        )
+    return CosineReport(
+        mean=float(cos.mean()), std=float(cos.std()), frac_positive=float((cos > 0).mean()),
+        frac_abs_below_0p1=float((np.abs(cos) < 0.1).mean()), n_pairs=cos.size, n_excluded=excluded,
+        pair_i=pair_i, pair_j=pair_j, cosines=cos,
+    )
+
+
+@np.errstate(over="raise")
+def reference_m_bound(fs, theta, tol=M_VACUOUS_TOL) -> MBoundReport:
+    """m_bound as one Python loop over the ordered pairs i != j."""
+    if fs.n < 2:
+        raise ValueError("need at least two prompts")
+    grads = batch_stats(fs, theta).grads
+    best, worst_pair, violations = 0.0, None, []
+    n_candidates = n_vacuous = 0
+    for i in range(fs.n):
+        norm = fs.x_norms[i]
+        if norm == 0.0:
+            n_vacuous += fs.n - 1
+            continue
+        norm_sq = norm**2
+        for j in range(fs.n):
+            if i == j:
+                continue
+            proj = fs.features[i] @ grads[j]
+            if norm_sq > 0.0:
+                rhs = float(proj @ proj) / norm_sq
+            else:
+                scaled = proj / norm
+                rhs = float(scaled @ scaled)
+            if rhs <= tol:
+                n_vacuous += 1
+                continue
+            inner = float(grads[i] @ grads[j])
+            if inner <= 0.0:
+                violations.append((i, j))
+                continue
+            n_candidates += 1
+            candidate = rhs / inner
+            if candidate > best:
+                best, worst_pair = candidate, (i, j)
+    counts = dict(n_candidates=n_candidates, n_vacuous=n_vacuous)
+    if violations:
+        return MBoundReport("violated", math.nan, worst_pair, violations, **counts)
+    if n_candidates == 0:
+        return MBoundReport("vacuous", 0.0, None, **counts)
+    return MBoundReport("ok", best, worst_pair, **counts)
+
+
+def field_bytes(report) -> dict:
+    """Every field of a report in a form that compares bit for bit (NaN included)."""
+    out = {}
+    for name, value in vars(report).items():
+        if isinstance(value, np.ndarray):
+            out[name] = (value.dtype.str, value.shape, value.tobytes())
+        elif isinstance(value, float):
+            out[name] = ("float", value.hex())
+        else:
+            out[name] = (type(value).__name__, repr(value))
+    return out
+
+
+def outcome(f):
+    """field_bytes of f()'s report, or the type of the exception it raised."""
+    try:
+        return field_bytes(f())
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def geometry_instance(kind: str, seed: int, n: int, K: int, d: int, log_scale: float):
+    """A random instance with one planted feature: an all-zero prompt, a
+    prompt whose squared norm underflows, duplicated prompts (tied
+    candidates) or nonnegative features (few violations)."""
+    rng = np.random.default_rng(seed)
+    X = 10.0**log_scale * rng.standard_normal((n, K, d))
+    correct = rng.integers(0, K, size=n)
+    if kind == "zero_prompt":
+        X[rng.integers(0, n)] = 0.0
+    elif kind == "tiny_prompt":
+        X[rng.integers(0, n)] *= 1e-165
+    elif kind == "duplicates":
+        X[:] = X[0]
+        correct[:] = correct[0]
+    elif kind == "nonnegative":
+        X = np.abs(X)
+    theta = rng.uniform(-3.0, 3.0, d) / 10.0**log_scale
+    return FeatureSet(features=tuple(X), correct=correct), theta
+
+
+class TestStackedGeometryAgainstLoops:
+    """The stacked pair geometry reproduces the per-pair loops bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["plain", "zero_prompt", "tiny_prompt", "duplicates", "nonnegative"]),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 7),
+        K=st.integers(2, 5),
+        d=st.integers(1, 6),
+        log_scale=st.floats(-3.0, 2.0),
+    )
+    def test_reports_bit_equal(self, kind, seed, n, K, d, log_scale):
+        fs, theta = geometry_instance(kind, seed, n, K, d, log_scale)
+        assert outcome(lambda: pairwise_grad_cosines(fs, theta)) == outcome(
+            lambda: reference_pairwise_grad_cosines(fs, theta)
+        )
+        for tol in (M_VACUOUS_TOL, -1.0):
+            assert outcome(lambda: m_bound(fs, theta, tol)) == outcome(lambda: reference_m_bound(fs, theta, tol))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "fs, theta, status, worst_pair",
+        [
+            # orthogonal blocks: every requirement is vacuous
+            (orthogonal_blocks(n=3, K=3, block_dim=2, scale=1.0, rng=stream_rng(75, SCENARIO_STREAM)),
+             np.full(6, 0.2), "vacuous", None),
+            (anti_aligned_pair(), np.array([0.4, -0.1]), "violated", None),
+            # three equal prompts: all six candidates tie, and the first one is kept
+            (FeatureSet(features=(np.eye(3)[:, :2],) * 3, correct=[1, 1, 1]), np.array([0.3, -0.2]), "ok", (0, 1)),
+            # an all-zero prompt next to a d < K pair
+            (FeatureSet(features=(np.array([[1.0], [2.0], [3.0], [4.0]]), np.zeros((4, 1)),
+                                  np.array([[2.0], [1.0], [3.0], [5.0]])), correct=[3, 0, 3]),
+             np.array([0.7]), "ok", (0, 2)),
+            # |X_1|^2 underflows to 0: pair (1, 0) is measured by scaling first
+            (FeatureSet(features=(1e12 * np.eye(2), 1e-170 * np.eye(2)), correct=[0, 0]), np.zeros(2), "ok", (1, 0)),
+        ],
+    )
+    def test_planted_cases_bit_equal(self, fs, theta, status, worst_pair):
+        rep = m_bound(fs, theta)
+        assert (rep.status, rep.worst_pair) == (status, worst_pair)
+        assert field_bytes(rep) == field_bytes(reference_m_bound(fs, theta))
+        assert field_bytes(pairwise_grad_cosines(fs, theta)) == field_bytes(reference_pairwise_grad_cosines(fs, theta))
+
+    def test_overflowing_interaction_still_raises(self):
+        rng = stream_rng(65, SCENARIO_STREAM)
+        huge = FeatureSet(features=tuple(1e150 * rng.uniform(-1, 1, (2, 2)) for _ in range(2)), correct=[0, 1])
+        with pytest.raises(FloatingPointError):
+            reference_m_bound(huge, np.zeros(2))
+        with pytest.raises(FloatingPointError):
+            m_bound(huge, np.zeros(2))
 
 
 class TestScaleRegularity:
@@ -463,6 +635,39 @@ class TestLemmaBoundReport:
             want = reference_lemma_bound_report(fs, theta, np.random.default_rng(seed), ball_samples)
             assert rows == want
 
+    def test_default_ball_is_a_fresh_default_rng_drawn_once(self):
+        fs = random_features(n=3, K=4, d=5, overlap=0.3, rng=stream_rng(87, SCENARIO_STREAM))
+        thetas = [np.zeros(5), np.full(5, 0.4)]
+        for theta in thetas:
+            assert lemma_bound_report(fs, theta) == lemma_bound_report(fs, theta, rng=np.random.default_rng(0))
+        U, w, u_norm = _default_ball(fs.n, fs.d, 16)
+        assert U.shape == (48, 5) and w.shape == u_norm.shape == (48,)
+        assert not any(a.flags.writeable for a in (U, w, u_norm))
+        with pytest.raises(ValueError):
+            U[0, 0] = 1.0
+        lemma_bound_report(fs, thetas[0], ball_samples=3)
+        assert _default_ball.cache_info().currsize == 1
+
+    def test_caller_rng_draws_on_every_call(self):
+        fs = random_features(n=2, K=3, d=4, overlap=0.5, rng=stream_rng(88, SCENARIO_STREAM))
+        rng, want = np.random.default_rng(5), np.random.default_rng(5)
+        first = lemma_bound_report(fs, np.zeros(4), rng=rng, ball_samples=4)
+        for _ in range(fs.n * 4):
+            want.standard_normal(fs.d)
+            want.uniform()
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert lemma_bound_report(fs, np.zeros(4), rng=rng, ball_samples=4) != first
+
+    @pytest.mark.filterwarnings("error")
+    def test_all_zero_features_raise_zero_division(self):
+        fs = FeatureSet(features=(np.zeros((3, 2)), np.zeros((3, 2))), correct=[0, 1])
+        with pytest.raises(ZeroDivisionError):
+            lemma_bound_report(fs, np.zeros(2))
+        rng = np.random.default_rng(1)
+        with pytest.raises(ZeroDivisionError):
+            lemma_bound_report(fs, np.zeros(2), rng=rng)
+        assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
+
     def test_hand_values_identity_pair(self):
         fs = FeatureSet(features=(np.eye(2),), correct=[0])
         rows = lemma_bound_report(fs, np.array([math.log(3.0), 0.0]), rng=stream_rng(84, 3))
@@ -515,6 +720,15 @@ class TestAssumptionReport:
         assert rep["phase"] == "I"
         assert rep["cos_mean"] == pytest.approx(0.0, abs=1e-10)
         assert rep["c_of_t"] is None
+
+    def test_one_batch_stats_evaluation(self, ortho_fs, monkeypatch):
+        import rlvrlab.policy as policy
+
+        calls = []
+        inner = policy._batch_stats
+        monkeypatch.setattr(policy, "_batch_stats", lambda fs, theta: calls.append(1) or inner(fs, theta))
+        diagnose_report(ortho_fs, np.full(ortho_fs.d, 0.1))
+        assert len(calls) == 1
 
     def test_c_of_t_populated_with_log(self, ortho_fs):
         cfg = TrainerConfig(algorithm="grpo", horizon=50, seed=0)

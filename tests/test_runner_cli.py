@@ -317,6 +317,30 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
             assert field.split(".")[-1] in err
+        # the instance is built before any output directory is made
+        assert not (tmp_path / "out").exists() and not (tmp_path / "sw").exists()
+
+    # float() of an integer beyond double range overflows; int() of one longer
+    # than the interpreter's digit limit refuses it
+    @pytest.mark.parametrize("literal", ["1" + "0" * 400, "-" + "9" * 400, "1" + "0" * 5000])
+    def test_huge_integer_config_value_exit_two(self, tmp_path, capsys, literal):
+        text = json.dumps(SMALL).replace('"horizon": 12', '"horizon": 12, "eps_floor": ' + literal, 1)
+        assert literal in text
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        for argv in (["run", "--config", str(cfg), "--out", str(tmp_path / "out")],
+                     ["sweep", "--config", str(cfg), "--seeds", "0,1", "--out", str(tmp_path / "sw")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists() and not (tmp_path / "sw").exists()
+
+    def test_non_utf8_config_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b'{"scenario": "\xff\xfe"}')
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
